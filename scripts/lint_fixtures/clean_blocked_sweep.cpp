@@ -1,6 +1,6 @@
 // lint-fixture-path: core/clean_blocked_sweep.cpp
 // Clean fixture: the cache-blocked fused-round sweep (DESIGN.md §9), the
-// distilled single-worker idiom behind run_blocked_fused_round.  It is
+// distilled idiom behind each partition's sweep in run_edge_flow_round.  It is
 // sequential — one cursor walks the sorted edge slab, blocks advance by a
 // pure function of n, and the per-chunk epilogue both folds the summary
 // and refreshes the snapshot from the same load read.  None of that is a

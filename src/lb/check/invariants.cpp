@@ -128,7 +128,10 @@ void check_flow_antisymmetry(const core::FlowProgram<T>& program,
     const double f = program.flow(k, e, lu, lv);
     const graph::Edge rev{e.v, e.u};
     const double g = program.flow(k, rev, lv, lu);
-    if (!(g == -f)) {  // NaN on either side also lands here
+    // A NaN on one side only is a violation; NaN both ways is the
+    // antisymmetric image of a non-finite load, which the engines report
+    // as RunResult::non_finite after the round instead.
+    if (!(g == -f) && !(std::isnan(f) && std::isnan(g))) {
       violated(format("flow antisymmetry violated: round %zu edge %zu "
                       "(%u,%u): flow(u,v)=%.17g but flow(v,u)=%.17g "
                       "(expected %.17g)",
@@ -438,6 +441,82 @@ void check_ledger(const core::FlowLedger& ledger, const graph::Graph& base) {
                     base.num_edges()));
   }
   check_csr_slice(base, ledger.row_ptr(), ledger.edge_indices(), ledger.signs());
+}
+
+void check_partition_plan(const core::PartitionLayout& plan, const graph::Graph& base) {
+  const std::size_t n = base.num_nodes();
+  const auto& edges = base.edges();
+  const std::size_t parts = plan.parts();
+  const std::size_t chunks = core::summary_chunk_count(n);
+  if (parts == 0 || plan.chunk_edges.size() != chunks + 1 ||
+      plan.cut_begin.size() != parts + 1 || plan.in_begin.size() != parts + 1 ||
+      plan.incoming.size() != plan.cut_edges.size() || plan.node_begin.front() != 0 ||
+      plan.node_begin.back() != n) {
+    violated(format("partition plan: shapes inconsistent: %zu partitions over "
+                    "[%zu, %zu) for %zu nodes, %zu chunk boundaries, %zu cut "
+                    "edges, %zu incoming entries",
+                    parts, plan.node_begin.front(), plan.node_begin.back(), n,
+                    plan.chunk_edges.size(), plan.cut_edges.size(),
+                    plan.incoming.size()));
+  }
+  std::vector<std::uint32_t> owner(n);
+  for (std::size_t p = 0; p < parts; ++p) {
+    const std::size_t lo = plan.node_begin[p];
+    const std::size_t hi = plan.node_begin[p + 1];
+    if (lo % core::kSummaryChunkWidth != 0 || hi > n || (lo >= hi && n != 0)) {
+      violated(format("partition plan: partition %zu range [%zu, %zu) is empty "
+                      "or not aligned to the %zu-node chunk",
+                      p, lo, hi, core::kSummaryChunkWidth));
+    }
+    std::fill(owner.begin() + static_cast<std::ptrdiff_t>(lo),
+              owner.begin() + static_cast<std::ptrdiff_t>(hi),
+              static_cast<std::uint32_t>(p));
+  }
+  // Chunk slices, and the cut list recomputed: ascending, grouped by the
+  // owner of u.
+  std::size_t cut = 0;
+  for (std::size_t k = 0; k < edges.size(); ++k) {
+    const graph::Edge& e = edges[k];
+    const std::size_t chunk = e.u / core::kSummaryChunkWidth;
+    if (k < plan.chunk_edges[chunk] || k >= plan.chunk_edges[chunk + 1]) {
+      violated(format("partition plan: edge %zu (%u,%u) lies outside chunk %zu's "
+                      "edge slice",
+                      k, e.u, e.v, chunk));
+    }
+    if (owner[e.u] == owner[e.v]) continue;
+    if (cut >= plan.cut_edges.size() || plan.cut_edges[cut] != k ||
+        cut < plan.cut_begin[owner[e.u]] || cut >= plan.cut_begin[owner[e.u] + 1]) {
+      violated(format("partition plan: cut edge %zu (%u,%u) is not listed at "
+                      "position %zu among partition %u's outgoing cuts",
+                      k, e.u, e.v, cut, owner[e.u]));
+    }
+    ++cut;
+  }
+  if (cut != plan.cut_edges.size() || plan.cut_begin.front() != 0 ||
+      plan.cut_begin.back() != cut) {
+    violated(format("partition plan: %zu cut edges listed, %zu recomputed",
+                    plan.cut_edges.size(), cut));
+  }
+  // Every cut edge exactly once, ascending, in the incoming list of the
+  // owner of its v.
+  std::vector<std::uint8_t> seen(cut, 0);
+  for (std::size_t q = 0; q < parts; ++q) {
+    for (std::size_t i = plan.in_begin[q]; i < plan.in_begin[q + 1]; ++i) {
+      const std::uint32_t pos = i < plan.incoming.size() ? plan.incoming[i] : 0;
+      if (i >= plan.incoming.size() || pos >= cut ||
+          owner[edges[plan.cut_edges[pos]].v] != q ||
+          (i > plan.in_begin[q] && plan.incoming[i - 1] >= pos) || seen[pos]++ != 0) {
+        violated(format("partition plan: partition %zu incoming entry %zu is out "
+                        "of range, out of order, repeated, or not owned",
+                        q, i));
+      }
+    }
+  }
+  const auto missing = std::find(seen.begin(), seen.end(), 0);
+  if (missing != seen.end()) {
+    violated(format("partition plan: cut edge %u is in no incoming list",
+                    plan.cut_edges[static_cast<std::size_t>(missing - seen.begin())]));
+  }
 }
 
 void check_mask_arrays(const graph::Graph& base,

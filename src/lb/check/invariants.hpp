@@ -31,6 +31,7 @@
 
 #include "lb/core/flow_ledger.hpp"
 #include "lb/core/flow_program.hpp"
+#include "lb/core/partition_plan.hpp"
 #include "lb/graph/edge_mask.hpp"
 #include "lb/graph/graph.hpp"
 #include "lb/shard/halo.hpp"
@@ -41,7 +42,7 @@ namespace lb::check {
 /// Thrown by every check below on a contract violation.  The what()
 /// string always begins with the invariant's name ("conservation",
 /// "flow antisymmetry", "halo mirror", "comm accounting", "csr",
-/// "edge mask") followed by round/edge/domain coordinates.
+/// "partition plan", "edge mask") followed by round/edge/domain coordinates.
 class InvariantViolation : public std::runtime_error {
  public:
   explicit InvariantViolation(const std::string& what)
@@ -102,7 +103,8 @@ void check_conservation(const ConservationBaseline<T>& baseline,
 /// Verify the program's flow function is orientation-antisymmetric on the
 /// current load: for every in-support edge k = (u, v),
 ///   flow(k, {v, u}, ℓ_v, ℓ_u) == -flow(k, {u, v}, ℓ_u, ℓ_v)
-/// bit for bit.  This is the property that makes "owner of e.u computes
+/// (a NaN in both orientations — a non-finite load, which the engines
+/// stop on — counts as antisymmetric).  This is the property that makes "owner of e.u computes
 /// the flow" a *convention* rather than a result-changing choice — a
 /// flow function that secretly depends on endpoint order would produce
 /// different trajectories under a different ownership map.  kAllEdges
@@ -189,6 +191,15 @@ void check_csr_slice(const graph::Graph& base,
 
 /// Verify a live ledger (must be valid_for(base)).
 void check_ledger(const core::FlowLedger& ledger, const graph::Graph& base);
+
+/// Verify a partitioned round's plan (DESIGN.md §9.6) against `base`:
+/// node ranges chunk-aligned, nonempty and covering [0, n); each edge
+/// slice exactly the edges whose u the partition owns; the cut list
+/// exactly the edges whose endpoints have different owners, ascending
+/// and grouped by the owner of u; and every cut edge exactly once, in
+/// ascending order, in the incoming list of the owner of its v.  Takes
+/// the raw layout so the mutation tests can seed violations.
+void check_partition_plan(const core::PartitionLayout& plan, const graph::Graph& base);
 
 /// Verify claimed mask summaries against a recount of the alive bitmap:
 /// per-node alive-degrees, the alive-edge count, and the max/min

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdio>
 
-#include "lb/core/flow_ledger.hpp"
 #include "lb/core/round_context.hpp"
 #include "lb/util/assert.hpp"
 #include "lb/util/thread_pool.hpp"
@@ -33,68 +32,39 @@ StepStats AsyncDiffusion<T>::step(RoundContext<T>& ctx, std::vector<T>& load) {
   StepStats stats;
 
   // Draw this round's active set (sequential: the RNG is a shared
-  // stream) — before any topology access, so masked and materialized
-  // runs consume the identical RNG prefix.
+  // stream).
   std::vector<std::uint8_t>& active = ctx.arena().node_flags();
   active.assign(load.size(), 0);
   for (std::size_t u = 0; u < load.size(); ++u) {
     active[u] = ctx.rng().next_bool(p_) ? 1 : 0;
   }
 
-  if (ctx.masked() && cfg_.apply == ApplyPath::kLedger) {
-    // Masked dynamic round: Algorithm-1 weights from the mask's
-    // alive-degrees over alive edges only; no materialization.
-    stats.links = frame.num_edges();
-    const double factor = cfg_.factor;
-    const double degree_plus_one = static_cast<double>(frame.max_degree()) + 1.0;
-    const DenominatorRule rule = cfg_.rule;
-    const auto flow_fn = [&frame, &active, factor, degree_plus_one, rule](
-                             std::size_t, const graph::Edge& e, double li,
-                             double lj) {
-      if (li == lj) return 0.0;
-      const graph::NodeId sender = li > lj ? e.u : e.v;
-      if (!active[sender]) return 0.0;
-      const double denom =
-          masked_diffusion_denominator(frame, e, rule, factor, degree_plus_one);
-      double w = std::fabs(li - lj) / denom;
-      if constexpr (std::is_integral_v<T>) {
-        w = std::floor(w);
-      }
-      return li > lj ? w : -w;
-    };
-    run_masked_ledger_round(ctx, frame, load, pool, stats, flow_fn);
-    return stats;
-  }
-
-  const graph::Graph& g = ctx.graph();
-  stats.links = g.num_edges();
-
   // An edge moves load only if its *richer* endpoint is active (that node
   // executes the send); the flow is Algorithm 1's rule on the round-start
   // snapshot, so all the usual safety properties carry over.  With the
   // active set fixed, the flows are a pure function of the snapshot, so
-  // the round runs on the shared flow-ledger kernel like plain diffusion.
-  const auto flow_fn = [this, &g, &active](std::size_t, const graph::Edge& e,
-                                           double li, double lj) {
+  // the round runs on the shared executor like plain diffusion.  The
+  // denominator comes from the frame's degrees — the mask's alive-degrees
+  // on masked rounds, the graph's own otherwise — the identical double
+  // diffusion_edge_weight derives from the (materialized) round graph.
+  stats.links = frame.num_edges();
+  const double factor = cfg_.factor;
+  const double degree_plus_one = static_cast<double>(frame.max_degree()) + 1.0;
+  const DenominatorRule rule = cfg_.rule;
+  const auto flow_fn = [&frame, &active, factor, degree_plus_one, rule](
+                           std::size_t, const graph::Edge& e, double li, double lj) {
     if (li == lj) return 0.0;
     const graph::NodeId sender = li > lj ? e.u : e.v;
     if (!active[sender]) return 0.0;
-    double w = diffusion_edge_weight(g, e.u, e.v, li, lj, cfg_);
+    const double denom =
+        masked_diffusion_denominator(frame, e, rule, factor, degree_plus_one);
+    double w = std::fabs(li - lj) / denom;
     if constexpr (std::is_integral_v<T>) {
       w = std::floor(w);
     }
     return li > lj ? w : -w;
   };
-
-  if (pool == nullptr || pool->size() <= 1) {
-    run_fused_sequential_round(g, load, ctx.arena().node_scratch(), stats, flow_fn);
-    return stats;
-  }
-  FlowLedger& ledger = ctx.ledger();
-  std::vector<double>& flows = ctx.arena().flows();
-  compute_edge_flows(g, load, flows, pool, flow_fn);
-  accumulate_flow_totals<T>(flows, stats);
-  apply_flows_observed(ctx, ledger, flows, load, pool);
+  run_edge_flow_round(ctx, load, pool, stats, flow_fn);
   return stats;
 }
 

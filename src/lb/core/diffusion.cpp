@@ -74,7 +74,7 @@ StepStats DiffusionBalancer<T>::step_masked(RoundContext<T>& ctx,
     return li > lj ? w : -w;
   };
 
-  run_masked_ledger_round(ctx, frame, load, pool, stats, flow_fn);
+  run_edge_flow_round(ctx, load, pool, stats, flow_fn);
   return stats;
 }
 
@@ -111,9 +111,9 @@ StepStats DiffusionBalancer<T>::step(RoundContext<T>& ctx, std::vector<T>& load)
     return stats;
   }
 
-  // Ledger path.  The per-edge denominators are a per-epoch
-  // precomputation keyed on the same revision as the CSR view, so every
-  // round is free of degree lookups.  The cached denominator is the same
+  // kLedger path.  The per-edge denominators are a per-epoch
+  // precomputation keyed on the graph revision, so every round is free
+  // of degree lookups.  The cached denominator is the same
   // double the seed computes inline, so the flows — and therefore the
   // loads — remain bit-identical to the edge-sweep path.
   ensure_denominators(g, pool);
@@ -128,13 +128,10 @@ StepStats DiffusionBalancer<T>::step(RoundContext<T>& ctx, std::vector<T>& load)
     return li > lj ? w : -w;
   };
 
-  // Shared ledger-round dispatch (round_context.hpp): single worker takes
-  // the fused one-pass round — cache-blocked with the summary riding each
-  // block when the engine asked for one — while multi-worker pools fill
-  // flows in parallel and apply through the CSR gather.  Every leg is
-  // bit-identical (same flows from the same snapshot, same per-node
-  // update order, chunk-deterministic summary).
-  run_ledger_round(ctx, g, load, pool, stats, flow_fn);
+  // The partitioned fused round (round_context.hpp): same flows from the
+  // same snapshot, same per-node update order as the edge sweep at every
+  // pool size, with the summary and StepStats as fixed-chunk folds.
+  run_edge_flow_round(ctx, load, pool, stats, flow_fn);
   return stats;
 }
 

@@ -37,10 +37,10 @@ struct DiffusionConfig {
   DenominatorRule rule = DenominatorRule::kFactorTimesMaxDegree;
   /// The safety factor in front of max(d_i, d_j); the paper uses 4.
   double factor = 4.0;
-  /// Compute per-edge flows and the ledger apply on the global thread pool.
+  /// Run the round on the context's pool (false: one partition).
   bool parallel = true;
-  /// Apply phase implementation: the parallel node-centric ledger
-  /// (default) or the seed's sequential edge sweep (ablation/oracle).
+  /// Round implementation: the partitioned fused round (default) or the
+  /// seed's sequential edge sweep (ablation/oracle).
   ApplyPath apply = ApplyPath::kLedger;
 };
 
@@ -50,11 +50,12 @@ struct DiffusionConfig {
 double diffusion_edge_weight(const graph::Graph& g, graph::NodeId i, graph::NodeId j,
                              double load_i, double load_j, const DiffusionConfig& cfg);
 
-/// Algorithm-1 denominator on a masked frame — the single definition the
-/// masked fast paths (plain and async diffusion) share, computing the
-/// identical double diffusion_edge_weight derives from a materialized
-/// subgraph's degrees.  `degree_plus_one` is the precomputed
-/// frame.max_degree()+1 so the per-edge call stays branch+lookup only.
+/// Algorithm-1 denominator on a topology frame — the single definition the
+/// frame-based paths (masked diffusion, async diffusion) share, computing
+/// the identical double diffusion_edge_weight derives from the round
+/// graph (a masked frame's alive-degrees are its materialized subgraph's
+/// degrees).  `degree_plus_one` is the precomputed frame.max_degree()+1 so
+/// the per-edge call stays branch+lookup only.
 inline double masked_diffusion_denominator(const graph::TopologyFrame& frame,
                                            const graph::Edge& e,
                                            DenominatorRule rule, double factor,
@@ -79,7 +80,7 @@ class DiffusionBalancer final : public Balancer<T> {
   StepStats step(RoundContext<T>& ctx, std::vector<T>& load) override;
 
   /// Sharded replay (flow_program.hpp): the identical flow function the
-  /// ledger paths run — cached per-epoch denominators unmasked, inline
+  /// kLedger paths run — cached per-epoch denominators unmasked, inline
   /// alive-degree denominators masked.  The kEdgeSweep ablation oracle
   /// keeps its bespoke step() shape and is not planned.
   bool plan_round(RoundContext<T>& ctx, FlowProgram<T>& program) override;
@@ -88,12 +89,12 @@ class DiffusionBalancer final : public Balancer<T> {
 
  private:
   // (Re)fill denoms_ for `g`'s epoch if stale — the shared per-epoch
-  // precomputation behind both the ledger step() and plan_round().
+  // precomputation behind both the kLedger step() and plan_round().
   void ensure_denominators(const graph::Graph& g, util::ThreadPool* pool);
 
   // Masked-frame fast path: flows over the base edge list with dead
   // edges skipped and denominators from the mask's alive-degrees — no
-  // graph materialization, no CSR rebuild.  Bit-identical to stepping on
+  // graph materialization.  Bit-identical to stepping on
   // the materialized subgraph.
   StepStats step_masked(RoundContext<T>& ctx, const graph::TopologyFrame& frame,
                         std::vector<T>& load);
@@ -106,7 +107,7 @@ class DiffusionBalancer final : public Balancer<T> {
   // the step-time key check is the single source of invalidation).
   // Only the unmasked path uses it — alive-degrees move every mask
   // revision, so masked rounds compute denominators inline instead.
-  // Flow/snapshot buffers and the CSR ledger come from the RoundContext.
+  // Snapshot and partition-plan buffers come from the RoundContext.
   std::vector<double> denoms_;
   std::uint64_t denom_revision_ = 0;
 };

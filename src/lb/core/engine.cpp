@@ -1,5 +1,7 @@
 #include "lb/core/engine.hpp"
 
+#include <cmath>
+
 #include "lb/check/invariants.hpp"
 #include "lb/core/load.hpp"
 #include "lb/core/metrics.hpp"
@@ -176,14 +178,26 @@ RunResult run(Balancer<T>& balancer, graph::GraphSequence& seq, std::vector<T>& 
     result.step_seconds += step_us * 1e-6;
     result.metrics_seconds += metrics_us * 1e-6;
 
+    // A NaN or infinite load never balances away; the run stops after
+    // recording this round instead of burning the round budget.
+    const bool finite = std::isfinite(summary.potential);
     if (checking) {
-      check::check_conservation(baseline, load, round, stats.links, "engine",
-                                net_stream);
-      // The shared ledger re-keys lazily inside balancers and its CSR
-      // only moves on a base rebuild, so verify it on epoch-change
-      // rounds (round 1 included) rather than every round.
-      if ((epoch_changed || round == 1) && arena.ledger().valid_for(frame.base())) {
-        check::check_ledger(arena.ledger(), frame.base());
+      if (finite) {
+        check::check_conservation(baseline, load, round, stats.links, "engine",
+                                  net_stream);
+      }
+      // The shared ledger and the partition plans re-key lazily inside
+      // balancers and only move on a base rebuild, so verify them on
+      // epoch-change rounds (round 1 included) rather than every round.
+      if (epoch_changed || round == 1) {
+        if (arena.ledger().valid_for(frame.base())) {
+          check::check_ledger(arena.ledger(), frame.base());
+        }
+        for (const PartitionPlan& plan : arena.partition_plans()) {
+          if (plan.valid_for(frame.base())) {
+            check::check_partition_plan(plan.layout(), frame.base());
+          }
+        }
       }
     }
 
@@ -210,6 +224,11 @@ RunResult run(Balancer<T>& balancer, graph::GraphSequence& seq, std::vector<T>& 
     }
     result.final_potential = summary.potential;
 
+    if (!finite) {
+      result.non_finite = true;
+      finish(result);
+      return result;
+    }
     if (summary.potential <= config.target_potential) {
       result.reached_target = true;
       finish(result);

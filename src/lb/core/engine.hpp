@@ -107,6 +107,9 @@ struct DomainCommStats {
 struct RunResult {
   bool reached_target = false;
   bool stalled = false;
+  /// The run stopped because a round's Φ was NaN or infinite (a
+  /// non-finite load); `rounds` is that round and final_potential its Φ.
+  bool non_finite = false;
   /// True when any spectral profiling attached to this run (dynamic
   /// runner lambda2 tracking) was skipped by a linalg scale guard
   /// instead of computed.

@@ -1,6 +1,7 @@
 #include "lb/core/flow_ledger.hpp"
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 
@@ -128,56 +129,6 @@ void FlowLedger::apply_with_summary(const graph::Graph& g,
 }
 
 template <class T>
-void FlowLedger::apply(const graph::TopologyFrame& frame,
-                       const std::vector<double>& flows, std::vector<T>& load,
-                       util::ThreadPool* pool) const {
-  if (!frame.masked()) {
-    apply(frame.base(), flows, load, pool);
-    return;
-  }
-  LB_ASSERT_MSG(revision_ == frame.base_revision(),
-                "masked apply with a ledger built for another base graph");
-  LB_ASSERT_MSG(flows.size() == num_edges_, "flow vector does not match ledger");
-  LB_ASSERT_MSG(load.size() == num_nodes_, "load vector does not match ledger");
-  const graph::EdgeMask& mask = *frame.mask();
-  if (pool != nullptr && pool->size() > 1) {
-    auto gather = [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t u = lo; u < hi; ++u) {
-        load[u] = gather_node_masked(u, mask, flows, load);
-      }
-    };
-    pool->parallel_for(0, num_nodes_, 256, gather);
-  } else {
-    apply_edge_sweep_masked(frame, flows, load);
-  }
-}
-
-template <class T>
-void FlowLedger::apply_with_summary(const graph::TopologyFrame& frame,
-                                    const std::vector<double>& flows,
-                                    std::vector<T>& load, util::ThreadPool* pool,
-                                    double average, SummaryMode mode,
-                                    std::vector<SummaryPartial<T>>& parts,
-                                    LoadSummary<T>& out) const {
-  if (!frame.masked()) {
-    apply_with_summary(frame.base(), flows, load, pool, average, mode, parts, out);
-    return;
-  }
-  LB_ASSERT_MSG(revision_ == frame.base_revision(),
-                "masked apply with a ledger built for another base graph");
-  LB_ASSERT_MSG(flows.size() == num_edges_, "flow vector does not match ledger");
-  LB_ASSERT_MSG(load.size() == num_nodes_, "load vector does not match ledger");
-  const graph::EdgeMask& mask = *frame.mask();
-  out = fused_sweep_with_summary<T>(pool, num_nodes_, average, mode, parts,
-                                    [&](std::size_t u) {
-                                      const T value =
-                                          gather_node_masked(u, mask, flows, load);
-                                      load[u] = value;
-                                      return value;
-                                    });
-}
-
-template <class T>
 void apply_edge_sweep(const graph::Graph& g, const std::vector<double>& flows,
                       std::vector<T>& load) {
   const auto& edges = g.edges();
@@ -204,6 +155,10 @@ void apply_edge_sweep_with_stats(const graph::Graph& g,
                                  std::vector<T>& load, StepStats& stats) {
   const auto& edges = g.edges();
   LB_ASSERT_MSG(flows.size() == edges.size(), "flow vector does not match graph");
+  // The load updates are the seed sweep's; the totals are kept per source
+  // chunk and folded into `stats` whenever the chunk of u advances.
+  StepStats chunk;
+  std::size_t chunk_end = kSummaryChunkWidth;
   for (std::size_t k = 0; k < edges.size(); ++k) {
     const double f = flows[k];
     if (f == 0.0) continue;
@@ -217,87 +172,62 @@ void apply_edge_sweep_with_stats(const graph::Graph& g,
       load[e.v] -= amount;
       load[e.u] += amount;
     }
-    stats.transferred += static_cast<double>(amount);
-    ++stats.active_edges;
+    if (e.u >= chunk_end) {
+      fold_flow_totals(chunk, stats);
+      chunk = StepStats{};
+      chunk_end = (e.u / kSummaryChunkWidth + 1) * kSummaryChunkWidth;
+    }
+    chunk.transferred += static_cast<double>(amount);
+    ++chunk.active_edges;
   }
+  fold_flow_totals(chunk, stats);
 }
 
 template <class T>
-void apply_edge_sweep_masked(const graph::TopologyFrame& frame,
-                             const std::vector<double>& flows, std::vector<T>& load) {
-  const auto& edges = frame.base().edges();
-  LB_ASSERT_MSG(flows.size() == edges.size(),
+void accumulate_flow_totals(const graph::TopologyFrame& frame,
+                            const PartitionLayout& plan,
+                            const std::vector<double>& flows, util::ThreadPool* pool,
+                            std::vector<StepStats>& parts, StepStats& stats) {
+  LB_ASSERT_MSG(flows.size() == frame.num_base_edges(),
                 "flow vector does not match base graph");
-  for (std::size_t k = 0; k < edges.size(); ++k) {
-    if (!frame.alive(k)) continue;
-    const double f = flows[k];
-    if (f == 0.0) continue;
-    const graph::Edge& e = edges[k];
-    const T amount = static_cast<T>(std::fabs(f));
-    if (amount == T{}) continue;
-    if (f > 0.0) {
-      load[e.u] -= amount;
-      load[e.v] += amount;
-    } else {
-      load[e.v] -= amount;
-      load[e.u] += amount;
-    }
-  }
-}
-
-template <class T>
-void accumulate_flow_totals_masked(const graph::TopologyFrame& frame,
-                                   const std::vector<double>& flows,
-                                   StepStats& stats) {
-  for (std::size_t k = 0; k < flows.size(); ++k) {
-    if (!frame.alive(k)) continue;
-    const double f = flows[k];
-    if (f == 0.0) continue;
-    const T amount = static_cast<T>(std::fabs(f));
-    if (amount == T{}) continue;
-    stats.transferred += static_cast<double>(amount);
-    ++stats.active_edges;
-  }
-}
-
-template <class T>
-void accumulate_flow_totals(const std::vector<double>& flows, StepStats& stats) {
-  for (const double f : flows) {
-    if (f == 0.0) continue;
-    const T amount = static_cast<T>(std::fabs(f));
-    if (amount == T{}) continue;
-    stats.transferred += static_cast<double>(amount);
-    ++stats.active_edges;
-  }
+  const std::size_t n = frame.num_nodes();
+  parts.resize(summary_chunk_count(n));
+  util::for_fixed_chunks(
+      pool, n, kSummaryChunkWidth, [&](std::size_t c, std::size_t, std::size_t) {
+        StepStats chunk;
+        for (std::size_t k = plan.chunk_edges[c]; k < plan.chunk_edges[c + 1]; ++k) {
+          if (!frame.alive(k)) continue;
+          const double f = flows[k];
+          if (f == 0.0) continue;
+          const T amount = static_cast<T>(std::fabs(f));
+          if (amount == T{}) continue;
+          chunk.transferred += static_cast<double>(amount);
+          ++chunk.active_edges;
+        }
+        parts[c] = chunk;
+      });
+  fold_flow_totals(parts, stats);
 }
 
 #define LB_INSTANTIATE(T)                                                      \
   template void FlowLedger::apply<T>(const graph::Graph&,                      \
                                      const std::vector<double>&,               \
                                      std::vector<T>&, util::ThreadPool*) const;\
-  template void FlowLedger::apply<T>(const graph::TopologyFrame&,              \
-                                     const std::vector<double>&,               \
-                                     std::vector<T>&, util::ThreadPool*) const;\
   template void FlowLedger::apply_with_summary<T>(                             \
       const graph::Graph&, const std::vector<double>&, std::vector<T>&,        \
-      util::ThreadPool*, double, SummaryMode, std::vector<SummaryPartial<T>>&, \
-      LoadSummary<T>&) const;                                                  \
-  template void FlowLedger::apply_with_summary<T>(                             \
-      const graph::TopologyFrame&, const std::vector<double>&, std::vector<T>&,\
       util::ThreadPool*, double, SummaryMode, std::vector<SummaryPartial<T>>&, \
       LoadSummary<T>&) const;                                                  \
   template void apply_edge_sweep<T>(const graph::Graph&,                       \
                                     const std::vector<double>&,                \
                                     std::vector<T>&);                          \
-  template void apply_edge_sweep_masked<T>(const graph::TopologyFrame&,        \
-                                           const std::vector<double>&,         \
-                                           std::vector<T>&);                   \
   template void apply_edge_sweep_with_stats<T>(const graph::Graph&,            \
                                                const std::vector<double>&,     \
                                                std::vector<T>&, StepStats&);   \
-  template void accumulate_flow_totals<T>(const std::vector<double>&, StepStats&); \
-  template void accumulate_flow_totals_masked<T>(                              \
-      const graph::TopologyFrame&, const std::vector<double>&, StepStats&);
+  template void accumulate_flow_totals<T>(const graph::TopologyFrame&,         \
+                                         const PartitionLayout&,               \
+                                         const std::vector<double>&,           \
+                                         util::ThreadPool*,                    \
+                                         std::vector<StepStats>&, StepStats&);
 
 LB_INSTANTIATE(double)
 LB_INSTANTIATE(std::int64_t)

@@ -12,28 +12,13 @@ namespace lb::core {
 
 StepStats FirstOrderScheme::step(RoundContext<double>& ctx,
                                  std::vector<double>& load) {
-  if (ctx.masked() && apply_ == ApplyPath::kLedger) {
-    // Masked dynamic round: α from the mask's alive max-degree, flows
-    // over alive base edges only — no materialization, bit-identical to
-    // stepping on the materialized subgraph.
-    const graph::TopologyFrame& frame = ctx.frame();
-    LB_ASSERT_MSG(load.size() == frame.num_nodes(),
-                  "load vector does not match graph");
-    const double alpha = 1.0 / (static_cast<double>(frame.max_degree()) + 1.0);
-    util::ThreadPool* pool = parallel_ ? ctx.pool() : nullptr;
-    const auto flow_fn = [alpha](std::size_t, const graph::Edge&, double lu,
-                                 double lv) { return alpha * (lu - lv); };
-    StepStats stats;
-    stats.links = frame.num_edges();
-    run_masked_ledger_round(ctx, frame, load, pool, stats, flow_fn);
-    return stats;
-  }
-
-  const graph::Graph& g = ctx.graph();
-  LB_ASSERT_MSG(load.size() == g.num_nodes(), "load vector does not match graph");
-  const double alpha = 1.0 / (static_cast<double>(g.max_degree()) + 1.0);
+  // α from the frame's max-degree: the mask's alive max-degree on masked
+  // rounds, the graph's own otherwise — the exact α of the materialized
+  // view either way.
+  const graph::TopologyFrame& frame = ctx.frame();
+  LB_ASSERT_MSG(load.size() == frame.num_nodes(), "load vector does not match graph");
+  const double alpha = 1.0 / (static_cast<double>(frame.max_degree()) + 1.0);
   util::ThreadPool* pool = parallel_ ? ctx.pool() : nullptr;
-  std::vector<double>& flows = ctx.arena().flows();
 
   // Flow form of L^{t+1} = M·L^t: every edge carries α·(ℓ_u − ℓ_v), all
   // computed from the round-start snapshot.
@@ -41,15 +26,15 @@ StepStats FirstOrderScheme::step(RoundContext<double>& ctx,
                                double lv) { return alpha * (lu - lv); };
 
   StepStats stats;
-  stats.links = g.num_edges();
+  stats.links = frame.num_edges();
   if (apply_ == ApplyPath::kLedger) {
-    // Shared ledger-round dispatch (round_context.hpp): fused sequential /
-    // cache-blocked / parallel CSR, all bit-identical.
-    run_ledger_round(ctx, g, load, pool, stats, flow_fn);
+    run_edge_flow_round(ctx, load, pool, stats, flow_fn);
   } else {
+    // The seed's edge sweep on the (materialized) round graph: the oracle.
+    const graph::Graph& g = ctx.graph();
+    std::vector<double>& flows = ctx.arena().flows();
     compute_edge_flows(g, load, flows, pool, flow_fn);
-    accumulate_flow_totals<double>(flows, stats);
-    apply_edge_sweep(g, flows, load);
+    apply_edge_sweep_with_stats(g, flows, load, stats);
   }
   return stats;
 }

@@ -1,10 +1,10 @@
 // First-order scheme (FOS) of Cybenko [3] / Boillat [2]: L^{t+1} = M·L^t
 // with the uniform diffusion matrix M (α = 1/(δ+1)).
 //
-// Runs on the shared flow-ledger kernel (core/flow_ledger.hpp): the edge
-// flows α·(ℓ_u − ℓ_v) are computed edge-parallel from the round snapshot
-// and applied node-parallel via the cached CSR ledger — equivalent to the
-// matrix-vector form, and bit-identical across thread counts.  The
+// Runs on the partitioned fused round (core/round_context.hpp): the edge
+// flows α·(ℓ_u − ℓ_v) are computed from the round snapshot and applied
+// in ascending edge order per node — equivalent to the matrix-vector
+// form, and bit-identical across thread counts.  The
 // discrete first-order scheme of Muthukrishnan–Ghosh–Schultz [15]
 // (integer flows, floored per edge) is the flow-form DiffusionBalancer
 // with DenominatorRule::kDegreePlusOne over Tokens; make_fos_discrete()

@@ -59,15 +59,13 @@ StepStats HeterogeneousDiffusion<T>::step(RoundContext<T>& ctx, std::vector<T>& 
   LB_ASSERT_MSG(load.size() == frame.num_nodes(), "load vector does not match graph");
   LB_ASSERT_MSG(speed_.size() == frame.num_nodes(),
                 "speed vector does not match graph");
-  util::ThreadPool* pool = ctx.pool();
-  std::vector<double>& flows = ctx.arena().flows();
   StepStats stats;
 
   // The normalized-gap flow of Elsässer–Monien–Preis, on the shared
-  // flow-ledger kernel.  One definition serves both branches: on masked
-  // rounds frame.degree is the mask's alive-degree (= the materialized
-  // subgraph's degree), on unmasked rounds it is the graph's own — the
-  // identical doubles the original inline loop computed either way.
+  // executor.  On masked rounds frame.degree is the mask's alive-degree
+  // (= the materialized subgraph's degree), on unmasked rounds it is the
+  // graph's own — the identical doubles the original inline loop computed
+  // either way.
   const auto flow_fn = [this, &frame](std::size_t, const graph::Edge& e, double li,
                                       double lj) {
     const double ni = li / speed_[e.u];
@@ -84,25 +82,8 @@ StepStats HeterogeneousDiffusion<T>::step(RoundContext<T>& ctx, std::vector<T>& 
     return ni > nj ? w : -w;
   };
 
-  if (ctx.masked()) {
-    // Masked dynamic round: flows over alive base edges only, CSR keyed
-    // on the base — no materialization, bit-identical to the rebuild path.
-    stats.links = frame.num_edges();
-    run_masked_ledger_round(ctx, frame, load, pool, stats, flow_fn);
-    return stats;
-  }
-
-  const graph::Graph& g = ctx.graph();
-  stats.links = g.num_edges();
-
-  if (pool == nullptr || pool->size() <= 1) {
-    run_fused_sequential_round(g, load, ctx.arena().node_scratch(), stats, flow_fn);
-    return stats;
-  }
-  FlowLedger& ledger = ctx.ledger();
-  compute_edge_flows(g, load, flows, pool, flow_fn);
-  accumulate_flow_totals<T>(flows, stats);
-  apply_flows_observed(ctx, ledger, flows, load, pool);
+  stats.links = frame.num_edges();
+  run_edge_flow_round(ctx, load, ctx.pool(), stats, flow_fn);
   return stats;
 }
 

@@ -1,5 +1,6 @@
 #include "lb/core/metrics.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -54,10 +55,29 @@ LoadSummary<T> combine_summary_partials(const std::vector<SummaryPartial<T>>& pa
                                         std::size_t n, double average,
                                         SummaryMode mode) {
   // Chunk-index order: the one combination order, independent of which
-  // worker produced which partial.
-  SummaryFold<T> fold;
-  for (const SummaryPartial<T>& p : parts) fold.add(p);
-  return fold.finish(n, average, mode);
+  // worker produced which partial.  The extrema are seeded from the first
+  // partial.
+  LoadSummary<T> s;
+  s.average = average;
+  if (n == 0 || parts.empty()) return s;
+  T total{};
+  double potential = 0.0;
+  T lo = parts.front().min;
+  T hi = parts.front().max;
+  for (const SummaryPartial<T>& p : parts) {
+    total += p.total;
+    potential += p.sq_dev;
+    lo = std::min(lo, p.min);
+    hi = std::max(hi, p.max);
+  }
+  s.total = total;
+  if (mode != SummaryMode::kExtremaOnly) s.potential = potential;
+  if (mode != SummaryMode::kPotentialOnly) {
+    s.min = lo;
+    s.max = hi;
+    s.discrepancy = static_cast<double>(hi) - static_cast<double>(lo);
+  }
+  return s;
 }
 
 template <class T>

@@ -125,56 +125,9 @@ inline void summary_accumulate(SummaryPartial<T>& p, T v, double average,
   }
 }
 
-/// Incremental mirror of combine_summary_partials: feed partials one at a
-/// time (in chunk-index order) and finish() into a LoadSummary.  The fold
-/// performs the exact operation sequence of the vector combine — seed the
-/// extrema from the first partial, then total/Φ/min/max per partial in
-/// order — so a consumer that folds partials as it produces them (the
-/// cache-blocked round, which never materializes the partial vector) stays
-/// bit-identical to one that collects them all and combines at the end.
-template <class T>
-struct SummaryFold {
-  void add(const SummaryPartial<T>& p) {
-    if (!any_) {
-      min_ = p.min;
-      max_ = p.max;
-      any_ = true;
-    }
-    total_ += p.total;
-    potential_ += p.sq_dev;
-    min_ = std::min(min_, p.min);
-    max_ = std::max(max_, p.max);
-  }
-
-  LoadSummary<T> finish(std::size_t n, double average, SummaryMode mode) const {
-    LoadSummary<T> s;
-    s.average = average;
-    if (n == 0 || !any_) return s;
-    s.total = total_;
-    s.min = min_;
-    s.max = max_;
-    if (mode != SummaryMode::kExtremaOnly) s.potential = potential_;
-    if (mode != SummaryMode::kPotentialOnly) {
-      s.discrepancy = static_cast<double>(s.max) - static_cast<double>(s.min);
-    } else {
-      s.min = T{};
-      s.max = T{};
-    }
-    return s;
-  }
-
- private:
-  bool any_ = false;
-  T total_{};
-  double potential_ = 0.0;
-  T min_{};
-  T max_{};
-};
-
 /// Combine chunk partials in index order into a LoadSummary.  `average`
 /// is echoed into the summary (it is the Φ reference point, not
-/// total/n recomputed).  Implemented as a SummaryFold over the vector, so
-/// the two combination surfaces cannot drift apart.
+/// total/n recomputed).
 template <class T>
 LoadSummary<T> combine_summary_partials(const std::vector<SummaryPartial<T>>& parts,
                                         std::size_t n, double average,

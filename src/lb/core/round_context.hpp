@@ -18,14 +18,19 @@
 //     constructed fresh each round (dynamic sequences swap the graph).
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "lb/core/flow_ledger.hpp"
 #include "lb/core/load.hpp"
 #include "lb/core/metrics.hpp"
+#include "lb/core/partition_plan.hpp"
 #include "lb/graph/edge_mask.hpp"
 #include "lb/graph/graph.hpp"
+#include "lb/util/assert.hpp"
 #include "lb/util/rng.hpp"
 #include "lb/util/thread_pool.hpp"
 
@@ -49,11 +54,12 @@ namespace lb::core {
 template <class T>
 class RunArena {
  public:
-  /// Per-edge signed flow buffer (positive moves load u -> v).
+  /// Per-edge signed flow buffer (positive moves load u -> v), for the
+  /// kEdgeSweep oracle paths and the sharded engine.
   std::vector<double>& flows() { return flows_; }
   /// Per-node T scratch (round-start snapshots, per-node deltas).
-  /// Handing the buffer out invalidates the blocked round's cross-round
-  /// snapshot cache: any caller of this accessor may clobber it.
+  /// Handing the buffer out invalidates the edge-flow executor's
+  /// cross-round snapshot cache: any caller of this accessor may clobber it.
   std::vector<T>& node_scratch() {
     snapshot_ready_ = false;
     return node_scratch_;
@@ -64,24 +70,45 @@ class RunArena {
   /// (fused_sweep_with_summary's scratch overload) — kept here so
   /// steady-state rounds perform zero transient allocations.
   std::vector<SummaryPartial<T>>& summary_parts() { return summary_parts_; }
-  /// The shared CSR incident-edge view; callers go through
-  /// RoundContext::ledger(), which ensure()s it against the round's graph.
+  /// Per-chunk StepStats partials (the source-chunk fold, DESIGN.md §4).
+  std::vector<StepStats>& flow_totals() { return flow_totals_; }
+  /// Flow slots of the partitioned round's cut edges (one per cut edge).
+  std::vector<double>& cut_flows() { return cut_flows_; }
+  /// The shared CSR incident-edge view (matching rounds); callers go
+  /// through RoundContext::ledger(), which ensure()s it against the
+  /// round's graph.
   FlowLedger& ledger() { return ledger_; }
 
-  /// The blocked fused round's snapshot cache (DESIGN.md §9).  It is the
+  /// The partitioned round's plan for `parts` partitions over `base`,
+  /// (re)built iff that part count's plan was built for another base
+  /// revision.  One plan is kept per part count, so runs that alternate
+  /// pools on one arena do not rebuild.
+  const PartitionPlan& partition_plan(const graph::Graph& base, std::size_t parts) {
+    for (PartitionPlan& plan : plans_) {
+      if (plan.requested_parts() != parts) continue;
+      plan.ensure(base, parts);
+      return plan;
+    }
+    plans_.emplace_back().ensure(base, parts);
+    return plans_.back();
+  }
+  /// Every cached plan, for the lb::check layer.
+  const std::vector<PartitionPlan>& partition_plans() const { return plans_; }
+
+  /// The edge-flow executor's snapshot cache (DESIGN.md §9.3).  It is the
   /// same buffer as node_scratch(), but accessed WITHOUT dropping the
   /// validity flag: when snapshot_ready() is true the buffer holds a
-  /// byte-accurate copy of the run's load vector as the previous blocked
-  /// round left it, so the next blocked round skips its O(n) round-start
-  /// copy.  The contract is invalidation-by-default — every other user
-  /// of the buffer (node_scratch()) and every code path that mutates the
-  /// load vector outside a blocked round (run start, sharded halo
+  /// byte-accurate copy of the run's load vector as the previous round
+  /// left it, so the next round skips its O(n) round-start copy.  The
+  /// contract is invalidation-by-default — every other user of the
+  /// buffer (node_scratch()) and every code path that mutates the load
+  /// vector outside the executor (run start, stream deltas, sharded halo
   /// rounds, the legacy step() shim) clears the flag, and only a
-  /// completed blocked round sets it.
+  /// completed executor round sets it.
   std::vector<T>& snapshot_scratch() { return node_scratch_; }
   bool snapshot_ready() const { return snapshot_ready_; }
   void set_snapshot_ready(bool ready) { snapshot_ready_ = ready; }
-  /// Call after any load mutation the blocked round did not see.
+  /// Call after any load mutation the executor did not see.
   void invalidate_snapshot() { snapshot_ready_ = false; }
 
   /// Pre-size every per-run buffer for an n-node / m-edge topology so the
@@ -92,6 +119,7 @@ class RunArena {
     node_scratch_.reserve(num_nodes);
     node_flags_.reserve(num_nodes);
     summary_parts_.reserve(summary_chunk_count(num_nodes));
+    flow_totals_.reserve(summary_chunk_count(num_nodes));
   }
 
  private:
@@ -99,7 +127,10 @@ class RunArena {
   std::vector<T> node_scratch_;
   std::vector<std::uint8_t> node_flags_;
   std::vector<SummaryPartial<T>> summary_parts_;
+  std::vector<StepStats> flow_totals_;
+  std::vector<double> cut_flows_;
   FlowLedger ledger_;
+  std::vector<PartitionPlan> plans_;
   bool snapshot_ready_ = false;
 };
 
@@ -209,10 +240,12 @@ class RoundContext {
   LoadSummary<T> summary_{};
 };
 
-/// The shared tail of every ledger-based round: apply `flows` through
-/// `ledger`, riding the fused deterministic summary inside the gather
-/// when the engine requested one (and publishing it), plain apply
-/// otherwise.  `ledger` must already be valid for ctx.graph().
+
+/// Apply `flows` through `ledger`, riding the fused deterministic summary
+/// inside the gather when the engine requested one (and publishing it),
+/// plain apply otherwise.  `ledger` must already be valid for ctx.graph().
+/// Used by the matching rounds (dimension exchange); all-edges rounds run
+/// on run_edge_flow_round below.
 template <class T>
 inline void apply_flows_observed(RoundContext<T>& ctx, FlowLedger& ledger,
                                  const std::vector<double>& flows,
@@ -228,96 +261,233 @@ inline void apply_flows_observed(RoundContext<T>& ctx, FlowLedger& ledger,
   }
 }
 
-/// Masked-frame variant: `ledger` must be valid for the frame's base
-/// graph (ctx.frame_ledger()); dead edges are skipped inside the apply.
+/// The post-combine of a round without one: the applied value stands.
+struct NoPostCombine {
+  template <class T>
+  T operator()(std::size_t, T applied, T) const {
+    return applied;
+  }
+};
+
+namespace detail {
+
+/// Applies one edge's flow to the endpoints this partition owns: always
+/// u, and v unless the edge is cut (v's owner applies that side).  The
+/// skip and cast rules are the seed edge sweep's, so every per-node
+/// update rounds exactly as apply_edge_sweep's does.  Returns the moved
+/// amount (0 when nothing moved).
 template <class T>
-inline void apply_flows_observed(RoundContext<T>& ctx, FlowLedger& ledger,
-                                 const graph::TopologyFrame& frame,
-                                 const std::vector<double>& flows,
-                                 std::vector<T>& load, util::ThreadPool* pool) {
-  if (ctx.summary_requested()) {
-    LoadSummary<T> summary;
-    ledger.apply_with_summary(frame, flows, load, pool, ctx.summary_average(),
-                              ctx.summary_mode(), ctx.arena().summary_parts(),
-                              summary);
-    ctx.publish_summary(summary);
+inline T apply_owned_flow(std::vector<T>& load, const graph::Edge& e, double f,
+                          bool cut) {
+  if (f == 0.0) return T{};
+  const T amount = static_cast<T>(std::fabs(f));
+  if (amount == T{}) return T{};
+  if (f > 0.0) {
+    load[e.u] -= amount;
+    if (!cut) load[e.v] += amount;
   } else {
-    ledger.apply(frame, flows, load, pool);
+    load[e.u] += amount;
+    if (!cut) load[e.v] -= amount;
   }
+  return amount;
 }
 
-/// The shared masked ledger round (diffusion, FOS, async, heterogeneous):
-/// a single worker takes the fused one-pass masked sweep; otherwise the
-/// flows are filled over alive base edges, totalled, and applied through
-/// the base-keyed CSR with the fused summary riding the gather.  There is
-/// exactly one copy of this dispatch so the bit-identity contract cannot
-/// drift apart between balancers.  (SOS applies into a scratch vector and
-/// fuses its summary into the β-combine instead, so it stays bespoke.)
-template <class T, class FlowFn>
-inline void run_masked_ledger_round(RoundContext<T>& ctx,
-                                    const graph::TopologyFrame& frame,
-                                    std::vector<T>& load, util::ThreadPool* pool,
-                                    StepStats& stats, FlowFn&& flow_fn) {
-  if (pool == nullptr || pool->size() <= 1) {
-    const std::size_t width = blocked_round_width();
-    if (width != 0 && ctx.summary_requested()) {
-      // Cache-blocked fused round (DESIGN.md §9): apply + summary per
-      // L2-sized node block, bit-identical to the flat path below at
-      // every block width.  Engaged only when the engine wants a summary —
-      // without one the flat masked sweep already makes a single pass.
-      // Deliberately does NOT touch ctx.frame_ledger(): the sweep needs
-      // no CSR, so the ledger build is skipped entirely on this path.
-      RunArena<T>& arena = ctx.arena();
-      const bool ready = arena.snapshot_ready();
-      arena.set_snapshot_ready(false);  // never leave a stale claim mid-round
-      ctx.publish_summary(run_blocked_fused_round<T>(
-          frame, load, arena.snapshot_scratch(), ready, ctx.summary_average(),
-          ctx.summary_mode(), stats, width, flow_fn));
-      arena.set_snapshot_ready(true);
-      return;
-    }
-    run_fused_sequential_round_masked(frame, load, ctx.arena().node_scratch(),
-                                      stats, flow_fn);
-    return;
+template <bool Masked, class T, class FlowFn, class PostFn>
+void run_partitioned_round(RoundContext<T>& ctx, std::vector<T>& load,
+                           util::ThreadPool* pool, StepStats& stats,
+                           FlowFn& flow_fn, PostFn& post) {
+  const graph::TopologyFrame& frame = ctx.frame();
+  const graph::Graph& base = frame.base();
+  const std::size_t n = base.num_nodes();
+  LB_ASSERT_MSG(load.size() == n, "load vector does not match graph");
+  if (n == 0) return;
+  RunArena<T>& arena = ctx.arena();
+  const std::size_t workers = pool == nullptr ? 1 : pool->size();
+  const PartitionLayout& plan = arena.partition_plan(base, workers).layout();
+  const std::size_t parts = plan.parts();
+  const auto& edges = base.edges();
+
+  const bool ready = arena.snapshot_ready();
+  arena.set_snapshot_ready(false);  // never leave a stale claim mid-round
+  std::vector<T>& snapshot = arena.snapshot_scratch();
+  if (!ready) {
+    snapshot.resize(n);
+  } else {
+    LB_ASSERT_MSG(snapshot.size() == n, "stale snapshot cache: size mismatch");
   }
-  FlowLedger& ledger = ctx.frame_ledger();  // CSR keyed on the base graph
-  ctx.arena().invalidate_snapshot();  // parallel apply mutates load directly
-  std::vector<double>& flows = ctx.arena().flows();
-  compute_edge_flows_masked(frame, load, flows, pool, flow_fn);
-  accumulate_flow_totals_masked<T>(frame, flows, stats);
-  apply_flows_observed(ctx, ledger, frame, flows, load, pool);
+  const bool summarize = ctx.summary_requested();
+  const double average = ctx.summary_average();
+  const SummaryMode mode = ctx.summary_mode();
+  const std::size_t chunks = summary_chunk_count(n);
+  std::vector<SummaryPartial<T>>& summary_parts = arena.summary_parts();
+  if (summarize) summary_parts.resize(chunks);
+  std::vector<StepStats>& totals = arena.flow_totals();
+  totals.resize(chunks);
+  std::vector<double>& cut_flows = arena.cut_flows();
+  cut_flows.resize(plan.cut_edges.size());
+  const std::size_t width = blocked_round_width();
+  // Without a post-combine the applied value is already in place.
+  constexpr bool kHasPost = !std::is_same_v<std::remove_cvref_t<PostFn>, NoPostCombine>;
+
+  // Phase A: outgoing cut flows from the round-start loads (nothing
+  // writes `load` in this phase), plus this range of the snapshot when
+  // the cache is cold.
+  const auto phase_a = [&](std::size_t p) {
+    for (std::size_t c = plan.cut_begin[p]; c < plan.cut_begin[p + 1]; ++c) {
+      const std::uint32_t k = plan.cut_edges[c];
+      if constexpr (Masked) {
+        if (!frame.alive(k)) {
+          cut_flows[c] = 0.0;
+          continue;
+        }
+      }
+      const graph::Edge& e = edges[k];
+      cut_flows[c] = flow_fn(k, e, static_cast<double>(load[e.u]),
+                             static_cast<double>(load[e.v]));
+    }
+    if (!ready) {
+      std::copy(load.begin() + static_cast<std::ptrdiff_t>(plan.node_begin[p]),
+                load.begin() + static_cast<std::ptrdiff_t>(plan.node_begin[p + 1]),
+                snapshot.begin() + static_cast<std::ptrdiff_t>(plan.node_begin[p]));
+    }
+  };
+
+  // Phase B: incoming cut flows (every one has a smaller edge id than any
+  // edge of this slice), then the blocked fused sweep over the slice.
+  // A node is final once the sweep has passed every edge whose u is at or
+  // below it, so each block's epilogue — post-combine, summary and StepStats
+  // folds, snapshot refresh — runs while the block is cache-resident.
+  const auto phase_b = [&](std::size_t p) {
+    const std::size_t lo = plan.node_begin[p];
+    const std::size_t hi = plan.node_begin[p + 1];
+    for (std::size_t i = plan.in_begin[p]; i < plan.in_begin[p + 1]; ++i) {
+      const std::uint32_t c = plan.incoming[i];
+      const double f = cut_flows[c];
+      if (f == 0.0) continue;
+      const T amount = static_cast<T>(std::fabs(f));
+      if (amount == T{}) continue;
+      const graph::NodeId v = edges[plan.cut_edges[c]].v;
+      if (f > 0.0) {
+        load[v] += amount;
+      } else {
+        load[v] -= amount;
+      }
+    }
+    // Scalars the load stores could alias (a T store may alias a double
+    // or an index of the same width) are held in locals.
+    const double avg = average;
+    std::size_t next_cut = plan.cut_begin[p];
+    // One chunk's edge slice; a partition without outgoing cut edges
+    // (every partition at P = 1) runs the variant with no cut test.
+    const auto sweep_chunk = [&](std::size_t chunk, auto has_cuts) {
+      const std::size_t k_end = plan.chunk_edges[chunk + 1];
+      const std::size_t end_node = hi;
+      std::size_t cut_pos = next_cut;
+      StepStats moved;
+      for (std::size_t k = plan.chunk_edges[chunk]; k < k_end; ++k) {
+        const graph::Edge& e = edges[k];
+        const bool cut = decltype(has_cuts)::value && e.v >= end_node;
+        double f;
+        if (cut) {
+          f = cut_flows[cut_pos++];
+        } else {
+          if constexpr (Masked) {
+            if (!frame.alive(k)) continue;
+          }
+          f = flow_fn(k, e, static_cast<double>(snapshot[e.u]),
+                      static_cast<double>(snapshot[e.v]));
+        }
+        const T amount = apply_owned_flow(load, e, f, cut);
+        if (amount == T{}) continue;
+        moved.transferred += static_cast<double>(amount);
+        ++moved.active_edges;
+      }
+      next_cut = cut_pos;
+      return moved;
+    };
+    const bool has_cuts = plan.cut_begin[p] != plan.cut_begin[p + 1];
+    const std::size_t block = width == 0 ? hi - lo : width;
+    for (std::size_t blo = lo; blo < hi; blo += block) {
+      const std::size_t bhi = std::min(blo + block, hi);
+      const std::size_t first_chunk = blo / kSummaryChunkWidth;
+      const std::size_t end_chunk = summary_chunk_count(bhi);
+      for (std::size_t chunk = first_chunk; chunk < end_chunk; ++chunk) {
+        totals[chunk] = has_cuts ? sweep_chunk(chunk, std::true_type{})
+                                 : sweep_chunk(chunk, std::false_type{});
+      }
+      for (std::size_t chunk = first_chunk; chunk < end_chunk; ++chunk) {
+        const std::size_t clo = chunk * kSummaryChunkWidth;
+        const std::size_t chi = std::min(clo + kSummaryChunkWidth, bhi);
+        const auto finalize = [&](std::size_t u) {
+          const T applied = load[u];
+          const T value = post(u, applied, snapshot[u]);
+          if constexpr (kHasPost) load[u] = value;
+          snapshot[u] = value;
+          return value;
+        };
+        if (!summarize) {
+          for (std::size_t u = clo; u < chi; ++u) finalize(u);
+          continue;
+        }
+        SummaryPartial<T> part;
+        const T first = finalize(clo);
+        summary_begin(part, first);
+        summary_accumulate(part, first, avg, mode);
+        for (std::size_t u = clo + 1; u < chi; ++u) {
+          summary_accumulate(part, finalize(u), avg, mode);
+        }
+        summary_parts[chunk] = part;
+      }
+    }
+  };
+
+  if (parts == 1) {
+    phase_a(0);
+    phase_b(0);
+  } else {
+    const auto each = [&](const auto& phase) {
+      pool->parallel_for(0, parts, 1, [&](std::size_t first, std::size_t last) {
+        for (std::size_t p = first; p < last; ++p) phase(p);
+      });
+    };
+    each(phase_a);
+    each(phase_b);
+  }
+
+  fold_flow_totals(totals, stats);
+  if (summarize) {
+    ctx.publish_summary(combine_summary_partials(summary_parts, n, average, mode));
+  }
+  arena.set_snapshot_ready(true);
 }
 
-/// Unmasked counterpart of run_masked_ledger_round, shared by the ported
-/// balancers' kLedger paths (diffusion, FOS): one copy of the
-/// single-worker / blocked / parallel dispatch so the bit-identity
-/// contract cannot drift between balancers.  `g` must be ctx.graph().
-template <class T, class FlowFn>
-inline void run_ledger_round(RoundContext<T>& ctx, const graph::Graph& g,
-                             std::vector<T>& load, util::ThreadPool* pool,
-                             StepStats& stats, FlowFn&& flow_fn) {
-  if (pool == nullptr || pool->size() <= 1) {
-    const std::size_t width = blocked_round_width();
-    if (width != 0 && ctx.summary_requested()) {
-      RunArena<T>& arena = ctx.arena();
-      const bool ready = arena.snapshot_ready();
-      arena.set_snapshot_ready(false);  // never leave a stale claim mid-round
-      ctx.publish_summary(run_blocked_fused_round<T>(
-          g, load, arena.snapshot_scratch(), ready, ctx.summary_average(),
-          ctx.summary_mode(), stats, width, flow_fn));
-      arena.set_snapshot_ready(true);
-      return;
-    }
-    run_fused_sequential_round(g, load, ctx.arena().node_scratch(), stats,
-                               flow_fn);
-    return;
+}  // namespace detail
+
+/// The one executor of every all-edges flow round (diffusion, FOS, SOS,
+/// async, heterogeneous; DESIGN.md §9.6): a partitioned fused round over
+/// P = min(pool size, chunk count) contiguous node partitions.  Phase A
+/// computes each partition's outgoing cut-edge flows from the round-start
+/// loads; phase B applies each partition's incoming cut flows, then sweeps
+/// its own edge slice computing and applying every other flow on the spot.
+/// Each node still receives its ±updates in ascending edge order, so the
+/// loads are bit-identical to the seed edge sweep at every P, and the
+/// summary and StepStats are fixed-chunk folds, independent of P.  At
+/// P = 1 this is the single-worker cache-blocked round.
+///
+/// flow_fn(k, e, ℓ_u, ℓ_v) is the round's pure signed edge flow; the
+/// optional post(u, applied, before) computes each node's final value
+/// from its applied value and its round-start value (SOS's β mix) —
+/// FlowProgram's post contract.  Runs on the frame, masked or not; no CSR
+/// ledger and no per-edge flow buffer are touched.
+template <class T, class FlowFn, class PostFn = NoPostCombine>
+void run_edge_flow_round(RoundContext<T>& ctx, std::vector<T>& load,
+                         util::ThreadPool* pool, StepStats& stats, FlowFn&& flow_fn,
+                         PostFn&& post = {}) {
+  if (ctx.masked()) {
+    detail::run_partitioned_round<true>(ctx, load, pool, stats, flow_fn, post);
+  } else {
+    detail::run_partitioned_round<false>(ctx, load, pool, stats, flow_fn, post);
   }
-  FlowLedger& ledger = ctx.ledger();
-  ctx.arena().invalidate_snapshot();  // parallel apply mutates load directly
-  std::vector<double>& flows = ctx.arena().flows();
-  compute_edge_flows(g, load, flows, pool, flow_fn);
-  accumulate_flow_totals<T>(flows, stats);
-  apply_flows_observed(ctx, ledger, flows, load, pool);
 }
 
 }  // namespace lb::core

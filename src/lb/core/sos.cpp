@@ -40,10 +40,18 @@ double SecondOrderScheme::optimal_beta(double gamma) {
   return 2.0 / (1.0 + std::sqrt(1.0 - gamma * gamma));
 }
 
+SecondOrderScheme::BetaCombine SecondOrderScheme::begin_combine(std::size_t n) {
+  const bool first = !have_prev_;
+  if (first) {
+    prev_.resize(n);
+    have_prev_ = true;
+  }
+  return BetaCombine{&prev_, *beta_, first};
+}
+
 StepStats SecondOrderScheme::step(RoundContext<double>& ctx,
                                   std::vector<double>& load) {
   const graph::TopologyFrame& frame = ctx.frame();
-  const bool masked = ctx.masked() && apply_ == ApplyPath::kLedger;
   LB_ASSERT_MSG(load.size() == frame.num_nodes(), "load vector does not match graph");
   if (!beta_) {
     // γ needs the full spectral machinery; on a masked round this
@@ -53,89 +61,28 @@ StepStats SecondOrderScheme::step(RoundContext<double>& ctx,
   }
   const double alpha = 1.0 / (static_cast<double>(frame.max_degree()) + 1.0);
   util::ThreadPool* pool = parallel_ ? ctx.pool() : nullptr;
-  std::vector<double>& flows = ctx.arena().flows();
-
-  // scratch = M·load via the flow-ledger kernel: the FOS edge flows
-  // α·(ℓ_u − ℓ_v) applied to a copy of the snapshot.
+  // M·L as the FOS edge flows α·(ℓ_u − ℓ_v); the β-recurrence is the
+  // per-node post-combine of the applied value.
   const auto flow_fn = [alpha](std::size_t, const graph::Edge&, double lu,
                                double lv) { return alpha * (lu - lv); };
+  const BetaCombine combine = begin_combine(frame.num_nodes());
 
   StepStats stats;
   stats.links = frame.num_edges();
-  if (masked) {
-    // Masked dynamic round: flows over alive base edges, CSR keyed on
-    // the base — no materialization, bit-identical to the rebuild path.
-    if (pool == nullptr || pool->size() <= 1) {
-      scratch_ = load;
-      run_fused_sequential_round_masked(frame, scratch_, ctx.arena().node_scratch(),
-                                        stats, flow_fn);
-    } else {
-      FlowLedger& ledger = ctx.frame_ledger();
-      compute_edge_flows_masked(frame, load, flows, pool, flow_fn);
-      accumulate_flow_totals_masked<double>(frame, flows, stats);
-      scratch_ = load;
-      ledger.apply(frame, flows, scratch_, pool);
-    }
-  } else if (apply_ == ApplyPath::kLedger) {
-    const graph::Graph& g = ctx.graph();
-    if (pool == nullptr || pool->size() <= 1) {
-      // The fused path never reads the CSR view; don't build it.
-      scratch_ = load;
-      run_fused_sequential_round(g, scratch_, ctx.arena().node_scratch(), stats,
-                                 flow_fn);
-    } else {
-      FlowLedger& ledger = ctx.ledger();
-      compute_edge_flows(g, load, flows, pool, flow_fn);
-      accumulate_flow_totals<double>(flows, stats);
-      scratch_ = load;
-      ledger.apply(g, flows, scratch_, pool);
-    }
-  } else {
-    const graph::Graph& g = ctx.graph();
-    compute_edge_flows(g, load, flows, pool, flow_fn);
-    accumulate_flow_totals<double>(flows, stats);
-    scratch_ = load;
-    apply_edge_sweep(g, flows, scratch_);
-  }
-
-  if (!have_prev_) {
-    // First round is a plain FOS step.
-    prev_ = load;
-    load.swap(scratch_);
-    have_prev_ = true;
+  if (apply_ == ApplyPath::kLedger) {
+    run_edge_flow_round(ctx, load, pool, stats, flow_fn, combine);
     return stats;
   }
-
-  // The final load is produced by the β-combination, not the apply, so
-  // the fused summary rides this sweep instead: the combine is driven by
-  // the fixed metrics chunks and each node's new value is accumulated as
-  // it is written — bit-identical loads (per-node ops unchanged) and a
-  // bit-deterministic summary at every pool size.
-  const double b = *beta_;
-  const std::size_t n = load.size();
-  if (ctx.summary_requested()) {
-    ctx.publish_summary(fused_sweep_with_summary<double>(
-        pool, n, ctx.summary_average(), ctx.summary_mode(),
-        ctx.arena().summary_parts(),
-        [&](std::size_t u) {
-          const double next = b * scratch_[u] + (1.0 - b) * prev_[u];
-          prev_[u] = load[u];
-          load[u] = next;
-          return next;
-        }));
-  } else {
-    auto combine = [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t u = lo; u < hi; ++u) {
-        const double next = b * scratch_[u] + (1.0 - b) * prev_[u];
-        prev_[u] = load[u];
-        load[u] = next;
-      }
-    };
-    if (pool != nullptr) {
-      pool->parallel_for(0, n, 1024, combine);
-    } else {
-      combine(0, n);
-    }
+  // The seed path, the oracle: M·L into a scratch copy by the edge sweep
+  // on the (materialized) round graph, then the combine.
+  const graph::Graph& g = ctx.graph();
+  std::vector<double>& flows = ctx.arena().flows();
+  compute_edge_flows(g, load, flows, pool, flow_fn);
+  std::vector<double>& applied = ctx.arena().node_scratch();
+  applied = load;
+  apply_edge_sweep_with_stats(g, flows, applied, stats);
+  for (std::size_t u = 0; u < load.size(); ++u) {
+    load[u] = combine(u, applied[u], load[u]);
   }
   return stats;
 }
@@ -154,25 +101,7 @@ bool SecondOrderScheme::plan_round(RoundContext<double>& ctx,
   program.flow = [alpha](std::size_t, const graph::Edge&, double lu, double lv) {
     return alpha * (lu - lv);
   };
-  if (!have_prev_) {
-    // First round is a plain FOS step: the applied value stands, and the
-    // round-start load becomes L^{t-1} (step()'s prev_ = load copy).
-    prev_.resize(frame.num_nodes());
-    program.post = [this](std::size_t u, double applied, double before) {
-      prev_[u] = before;
-      return applied;
-    };
-    have_prev_ = true;
-    return true;
-  }
-  const double b = *beta_;
-  program.post = [this, b](std::size_t u, double applied, double before) {
-    // `applied` is step()'s scratch_[u] (M·L at u), so this is the exact
-    // combine expression: b·scratch + (1−b)·prev, then prev <- L^t.
-    const double next = b * applied + (1.0 - b) * prev_[u];
-    prev_[u] = before;
-    return next;
-  };
+  program.post = begin_combine(frame.num_nodes());
   return true;
 }
 

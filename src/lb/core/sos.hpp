@@ -10,9 +10,9 @@
 // load but produces fractional (and possibly transiently negative)
 // intermediate loads, exactly as in [15].
 //
-// The M·L product runs on the shared flow-ledger kernel
-// (core/flow_ledger.hpp), so every phase of a round — flow computation,
-// apply, and the β-combination — is parallel and deterministic across
+// A round is the FOS edge flows plus a per-node post-combine carrying the
+// β-recurrence, on the partitioned fused round (core/round_context.hpp):
+// flows, apply and combine are one parallel pass, deterministic across
 // thread counts.
 #pragma once
 
@@ -59,12 +59,31 @@ class SecondOrderScheme final : public Balancer<double> {
   static double optimal_beta(double gamma);
 
  private:
+  /// The per-node β-recurrence as a post(u, applied, before) combine:
+  /// `applied` is (M·L^t)_u and `before` is L^t_u.  Plain FOS on the
+  /// first round, β·applied + (1−β)·L^{t-1}_u after; either way L^{t-1}_u
+  /// <- before.  Touches only prev_[u], so any partition or domain may
+  /// run it.
+  struct BetaCombine {
+    std::vector<double>* prev;
+    double beta;
+    bool first;
+    double operator()(std::size_t u, double applied, double before) const {
+      const double next =
+          first ? applied : beta * applied + (1.0 - beta) * (*prev)[u];
+      (*prev)[u] = before;
+      return next;
+    }
+  };
+  /// The combine for the round about to run; advances the first-round
+  /// flag (sizing prev_) exactly once per round.
+  BetaCombine begin_combine(std::size_t n);
+
   std::optional<double> configured_beta_;  // constructor argument, verbatim
   std::optional<double> beta_;             // in effect (auto-filled on first step)
   bool parallel_;
   ApplyPath apply_;
-  std::vector<double> prev_;     // L^{t-1} — algorithm state, not scratch
-  std::vector<double> scratch_;  // M·L^t
+  std::vector<double> prev_;  // L^{t-1} — algorithm state, not scratch
   bool have_prev_ = false;
 };
 

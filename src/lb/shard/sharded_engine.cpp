@@ -159,14 +159,12 @@ core::StepStats step_all_edges(core::RoundContext<T>& ctx,
   });
   rt.comm.deliver();
 
-  // Round totals, centrally at the barrier: the same edge-order
-  // accumulation the shared-memory paths use, so StepStats — a
-  // left-to-right double sum — cannot depend on the domain split.
-  if (masked) {
-    core::accumulate_flow_totals_masked<T>(frame, flows, stats);
-  } else {
-    core::accumulate_flow_totals<T>(flows, stats);
-  }
+  // Round totals at the barrier: the source-chunk fold every shared-memory
+  // executor uses (flow_ledger.hpp), so StepStats cannot depend on the
+  // domain split.
+  core::RunArena<T>& arena = ctx.arena();
+  core::accumulate_flow_totals<T>(frame, arena.partition_plan(frame.base(), 1).layout(),
+                                  flows, pool, arena.flow_totals(), stats);
 
   // Phase C1: unpack received boundary flows.  A separate phase from the
   // gathers below so no domain reads a slot another is still writing.
@@ -191,9 +189,9 @@ core::StepStats step_all_edges(core::RoundContext<T>& ctx,
   });
 
   // Phase C2: domain-local apply sweeps.  Each owned node's row walk is
-  // FlowLedger::gather_node(_masked) verbatim — ascending incident base
-  // edges, identical skip/cast/accumulate rules — so the loads land bit
-  // for bit on the oracle's.
+  // FlowLedger::gather_node verbatim with dead edges skipped — ascending
+  // incident base edges, identical skip/cast/accumulate rules — so the
+  // loads land bit for bit on the oracle's.
   for_each_domain(pool, K, [&](std::size_t d) {
     const DomainPlan& plan = rt.halo.plan(d);
     for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
@@ -555,7 +553,10 @@ core::RunResult run(core::Balancer<T>& balancer, graph::GraphSequence& seq,
     result.step_seconds += step_us * 1e-6;
     result.metrics_seconds += metrics_us * 1e-6;
 
-    if (checking) {
+    // A NaN or infinite load never balances away; the run stops after
+    // recording this round instead of burning the round budget.
+    const bool finite = std::isfinite(summary.potential);
+    if (checking && finite) {
       check::check_conservation(baseline, load, round, stats.links, "shard",
                                 net_stream);
     }
@@ -590,6 +591,11 @@ core::RunResult run(core::Balancer<T>& balancer, graph::GraphSequence& seq,
     }
     result.final_potential = summary.potential;
 
+    if (!finite) {
+      result.non_finite = true;
+      finish(result);
+      return result;
+    }
     if (summary.potential <= config.target_potential) {
       result.reached_target = true;
       finish(result);

@@ -14,12 +14,14 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "lb/core/diffusion.hpp"
 #include "lb/core/dimension_exchange.hpp"
 #include "lb/core/engine.hpp"
 #include "lb/core/flow_ledger.hpp"
+#include "lb/core/partition_plan.hpp"
 #include "lb/core/round_context.hpp"
 #include "lb/graph/dynamic.hpp"
 #include "lb/graph/edge_mask.hpp"
@@ -27,6 +29,7 @@
 #include "lb/shard/sharded_engine.hpp"
 #include "lb/sim/comm.hpp"
 #include "lb/util/rng.hpp"
+#include "lb/util/thread_pool.hpp"
 #include "lb/workload/initial.hpp"
 
 namespace {
@@ -314,6 +317,69 @@ TEST(CheckMutationTest, FlippedOrientationSignDetectedInLedger) {
                                             ledger.signs());
                }),
                "csr");
+}
+
+// A partitioned round's plan: boundary misalignment, a cut edge handed to
+// the wrong owner, an out-of-order incoming list, a duplicated entry, a
+// shifted chunk slice and a dropped cut edge each trip a "partition plan"
+// diagnostic; the live plans of an engine run pass.
+TEST(CheckMutationTest, PartitionPlanMutationsDetected) {
+  const Graph g = lb::graph::make_torus2d(96, 64);
+  lb::core::PartitionPlan live;
+  live.ensure(g, 3);
+  const lb::core::PartitionLayout& clean = live.layout();
+  ASSERT_EQ(clean.parts(), 3u);
+  lb::check::check_partition_plan(clean, g);
+  ASSERT_GE(clean.in_begin[2] - clean.in_begin[1], 2u);
+
+  auto misaligned = clean;
+  misaligned.node_begin[1] += 1;
+  expect_named(violation_message([&] { lb::check::check_partition_plan(misaligned, g); }),
+               "partition plan");
+
+  auto wrong_owner = clean;  // partition 1's first incoming entry moves to 0
+  wrong_owner.in_begin[1] += 1;
+  expect_named(violation_message([&] { lb::check::check_partition_plan(wrong_owner, g); }),
+               "partition plan");
+
+  auto unordered = clean;
+  std::swap(unordered.incoming[unordered.in_begin[1]],
+            unordered.incoming[unordered.in_begin[1] + 1]);
+  expect_named(violation_message([&] { lb::check::check_partition_plan(unordered, g); }),
+               "partition plan");
+
+  auto duplicated = clean;
+  duplicated.incoming[duplicated.in_begin[1] + 1] =
+      duplicated.incoming[duplicated.in_begin[1]];
+  expect_named(violation_message([&] { lb::check::check_partition_plan(duplicated, g); }),
+               "partition plan");
+
+  auto shifted = clean;  // an edge assigned to the wrong chunk's slice
+  shifted.chunk_edges[1] += 1;
+  expect_named(violation_message([&] { lb::check::check_partition_plan(shifted, g); }),
+               "partition plan");
+
+  auto dropped = clean;  // a cut edge silently treated as interior
+  dropped.cut_edges.erase(dropped.cut_edges.begin());
+  expect_named(violation_message([&] { lb::check::check_partition_plan(dropped, g); }),
+               "partition plan");
+
+  // The engine checks its arena's plans on epoch-change rounds.
+  lb::util::ThreadPool pool(3);
+  EngineConfig cfg;
+  cfg.max_rounds = 3;
+  cfg.check_invariants = true;
+  cfg.pool = &pool;
+  lb::util::Rng wrng(4);
+  auto load = lb::workload::bimodal<double>(g.num_nodes(), 1e6, wrng);
+  auto alg = lb::core::make_diffusion_continuous();
+  lb::core::RunArena<double> arena;
+  auto seq = lb::graph::make_static_sequence(g);
+  lb::core::run(*alg, *seq, load, cfg, arena);
+  ASSERT_FALSE(arena.partition_plans().empty());
+  for (const lb::core::PartitionPlan& plan : arena.partition_plans()) {
+    lb::check::check_partition_plan(plan.layout(), g);
+  }
 }
 
 // --------------------------------------------------------- comm accounting

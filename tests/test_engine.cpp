@@ -9,6 +9,7 @@
 #include "lb/core/load.hpp"
 #include "lb/core/metrics.hpp"
 #include "lb/graph/generators.hpp"
+#include "lb/shard/sharded_engine.hpp"
 #include "lb/workload/initial.hpp"
 
 namespace {
@@ -42,6 +43,46 @@ TEST(EngineTest, MaxRoundsRespected) {
   const RunResult r = lb::core::run_static(alg, g, load, cfg);
   EXPECT_EQ(r.rounds, 5u);
   EXPECT_FALSE(r.reached_target);
+}
+
+// A single NaN in the initial load used to run every one of the 200,000
+// configured rounds and return NaN Φ without an error.  Both engines now
+// stop at the first round whose Φ is not finite and say so.
+TEST(EngineTest, NonFiniteLoadStopsAtFirstRound) {
+  const auto g = lb::graph::make_torus2d(16, 16);
+  lb::util::Rng wrng(9);
+  const auto load0 = lb::workload::uniform_random<double>(256, 25600.0, wrng);
+  EngineConfig cfg;
+  cfg.max_rounds = 200000;
+  {
+    auto load = load0;
+    load[37] = std::nan("");
+    lb::core::ContinuousDiffusion alg;
+    const RunResult r = lb::core::run_static(alg, g, load, cfg);
+    EXPECT_EQ(r.rounds, 1u);
+    EXPECT_TRUE(r.non_finite);
+    EXPECT_FALSE(r.reached_target);
+    EXPECT_TRUE(std::isnan(r.final_potential));
+  }
+  {
+    auto load = load0;
+    load[37] = std::nan("");
+    lb::core::ContinuousDiffusion alg;
+    lb::shard::ShardConfig shard;
+    shard.domains = 4;
+    const RunResult r = lb::shard::run_static(alg, g, load, cfg, shard);
+    EXPECT_EQ(r.rounds, 1u);
+    EXPECT_TRUE(r.non_finite);
+  }
+  {
+    auto load = load0;
+    lb::core::ContinuousDiffusion alg;
+    cfg.max_rounds = 5;
+    cfg.target_potential = 0.0;
+    const RunResult r = lb::core::run_static(alg, g, load, cfg);
+    EXPECT_FALSE(r.non_finite);
+    EXPECT_EQ(r.rounds, 5u);
+  }
 }
 
 TEST(EngineTest, DiscreteStallDetection) {
