@@ -7,7 +7,10 @@
 // cost columns; any divergence makes the process exit nonzero, so the
 // bench doubles as the determinism gate for CI (--quick keeps that gate
 // cheap).  Cost columns are the modeled comm quantities (messages/round,
-// boundary bytes/round, halo-wait share) plus the measured wall µs/round.
+// boundary bytes/round, halo-wait share) plus the measured wall µs/round
+// at pool 1 and at the hardware pool size (domains are the units of
+// concurrency, so K = 1 runs on one worker either way) and the wall time
+// of one ownership + halo plan build (the per-run set-up of shard::run).
 // The LB_SHARDS environment variable (comma-separated domain counts)
 // restricts which K legs run — CI uses it to split the smoke across
 // matrix jobs; unset means the full {1, 2, 4, 8} sweep.
@@ -20,8 +23,10 @@
 
 #include "lb/core/diffusion.hpp"
 #include "lb/core/engine.hpp"
+#include "lb/shard/halo.hpp"
 #include "lb/shard/ownership.hpp"
 #include "lb/shard/sharded_engine.hpp"
+#include "lb/util/thread_pool.hpp"
 #include "lb/util/timer.hpp"
 #include "lb/workload/initial.hpp"
 
@@ -30,22 +35,29 @@ namespace {
 struct Leg {
   std::size_t domains = 1;
   std::size_t cut_edges = 0;
-  lb::core::RunResult run;
-  double wall_seconds = 0.0;
+  double plan_build_ms = 0.0;
+  lb::core::RunResult run;     ///< the hardware-pool run
+  double wall_seconds[2] = {0.0, 0.0};  ///< pool 1, hardware pool
   std::size_t divergence = 0;  ///< mismatched fields vs the oracle
 };
 
+double us_per_round(const Leg& l, int pool) {
+  const double rounds = l.run.rounds > 0 ? static_cast<double>(l.run.rounds) : 1.0;
+  return l.wall_seconds[pool] * 1e6 / rounds;
+}
+
 /// Bitwise comparison of the deterministic RunResult surface.  Returns
 /// the number of mismatched fields (0 = identical).
-std::size_t count_divergence(const lb::core::RunResult& oracle, const Leg& leg,
+std::size_t count_divergence(const lb::core::RunResult& oracle,
+                             const lb::core::RunResult& run,
                              const std::vector<double>& oracle_load,
                              const std::vector<double>& leg_load) {
   std::size_t bad = 0;
-  if (oracle.rounds != leg.run.rounds) ++bad;
-  if (oracle.final_potential != leg.run.final_potential) ++bad;
-  if (oracle.final_discrepancy != leg.run.final_discrepancy) ++bad;
+  if (oracle.rounds != run.rounds) ++bad;
+  if (oracle.final_potential != run.final_potential) ++bad;
+  if (oracle.final_discrepancy != run.final_discrepancy) ++bad;
   const auto& a = oracle.trace.records();
-  const auto& b = leg.run.trace.records();
+  const auto& b = run.trace.records();
   if (a.size() != b.size()) {
     ++bad;
   } else {
@@ -71,24 +83,25 @@ std::size_t count_divergence(const lb::core::RunResult& oracle, const Leg& leg,
 }
 
 void write_json(const std::string& path, std::size_t n, std::size_t rounds,
-                const std::vector<Leg>& legs) {
+                std::size_t hw_pool, const std::vector<Leg>& legs) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "cannot write %s\n", path.c_str());
     return;
   }
-  std::fprintf(f, "{\n  \"bench\": \"shard\", \"n\": %zu, \"rounds\": %zu,\n"
-                  "  \"legs\": [\n", n, rounds);
+  std::fprintf(f, "{\n  \"bench\": \"shard\", \"n\": %zu, \"rounds\": %zu, "
+                  "\"hw_pool\": %zu,\n  \"legs\": [\n", n, rounds, hw_pool);
   for (std::size_t i = 0; i < legs.size(); ++i) {
     const Leg& l = legs[i];
     const double per_round =
         l.run.rounds > 0 ? static_cast<double>(l.run.rounds) : 1.0;
     std::fprintf(
         f,
-        "    {\"domains\": %zu, \"cut_edges\": %zu, \"us_per_round\": %.3f, "
+        "    {\"domains\": %zu, \"cut_edges\": %zu, \"plan_build_ms\": %.3f, "
+        "\"us_per_round_pool1\": %.3f, \"us_per_round_pool_hw\": %.3f, "
         "\"messages_per_round\": %.3f, \"bytes_per_round\": %.1f, "
         "\"halo_wait_us\": %.3f}%s\n",
-        l.domains, l.cut_edges, l.wall_seconds * 1e6 / per_round,
+        l.domains, l.cut_edges, l.plan_build_ms, us_per_round(l, 0), us_per_round(l, 1),
         static_cast<double>(l.run.comm.messages) / per_round,
         static_cast<double>(l.run.comm.boundary_bytes) / per_round,
         l.run.comm.halo_wait_us, i + 1 < legs.size() ? "," : "");
@@ -187,6 +200,9 @@ int main(int argc, char** argv) {
     oracle = lb::core::run_static(*alg, g, oracle_load, cfg);
   }
 
+  lb::util::ThreadPool pool1(1);
+  lb::util::ThreadPool pool_hw(0);
+  lb::util::ThreadPool* const pools[2] = {&pool1, &pool_hw};
   std::vector<Leg> legs;
   std::size_t divergent = 0;
   for (const std::size_t k : shard_counts()) {
@@ -194,31 +210,42 @@ int main(int argc, char** argv) {
     leg.domains = k;
     lb::shard::ShardConfig shard;
     shard.domains = k;
-    leg.cut_edges =
-        lb::shard::OwnershipMap::build(g, k, shard.policy).cut_edges();
-    auto alg = lb::core::make_diffusion_continuous();
-    std::vector<double> load = load0;
-    const lb::util::Stopwatch watch;
-    leg.run = lb::shard::run_static(*alg, g, load, cfg, shard);
-    leg.wall_seconds = watch.elapsed_seconds();
-    leg.divergence = count_divergence(oracle, leg, oracle_load, load);
+    const lb::util::Stopwatch plan_watch;
+    const auto map = lb::shard::OwnershipMap::build(g, k, shard.policy);
+    const auto halo = lb::shard::HaloExchange::build(g, map);
+    leg.plan_build_ms = plan_watch.elapsed_seconds() * 1e3;
+    leg.cut_edges = halo.cut_edges();
+    for (int p = 0; p < 2; ++p) {
+      lb::core::EngineConfig leg_cfg = cfg;
+      leg_cfg.pool = pools[p];
+      auto alg = lb::core::make_diffusion_continuous();
+      std::vector<double> load = load0;
+      const lb::util::Stopwatch watch;
+      lb::core::RunResult run = lb::shard::run_static(*alg, g, load, leg_cfg, shard);
+      leg.wall_seconds[p] = watch.elapsed_seconds();
+      leg.divergence += count_divergence(oracle, run, oracle_load, load);
+      leg.run = std::move(run);
+    }
     if (leg.divergence != 0) {
-      std::fprintf(stderr, "DIVERGENCE: K=%zu differs from the K=1 oracle "
+      std::fprintf(stderr, "DIVERGENCE: K=%zu differs from the shared-memory oracle "
                            "(%zu mismatched fields)\n", k, leg.divergence);
       divergent += leg.divergence;
     }
     legs.push_back(std::move(leg));
   }
 
-  lb::util::Table table({"domains", "cut_edges", "us/round", "messages/round",
-                         "bytes/round", "halo_wait_us", "identical"});
+  lb::util::Table table({"domains", "cut_edges", "plan_ms", "us/round pool1",
+                         "us/round pool" + std::to_string(pool_hw.size()),
+                         "messages/round", "bytes/round", "halo_wait_us", "identical"});
   for (const Leg& l : legs) {
     const double per_round =
         l.run.rounds > 0 ? static_cast<double>(l.run.rounds) : 1.0;
     table.row()
         .add(static_cast<std::int64_t>(l.domains))
         .add(static_cast<std::int64_t>(l.cut_edges))
-        .add(l.wall_seconds * 1e6 / per_round, 3)
+        .add(l.plan_build_ms, 3)
+        .add(us_per_round(l, 0), 3)
+        .add(us_per_round(l, 1), 3)
         .add(static_cast<double>(l.run.comm.messages) / per_round, 3)
         .add(static_cast<double>(l.run.comm.boundary_bytes) / per_round, 1)
         .add(l.run.comm.halo_wait_us, 3)
@@ -228,7 +255,7 @@ int main(int argc, char** argv) {
                   csv);
 
   if (!opts.get_string("json").empty()) {
-    write_json(opts.get_string("json"), g.num_nodes(), rounds, legs);
+    write_json(opts.get_string("json"), g.num_nodes(), rounds, pool_hw.size(), legs);
   }
   if (!opts.get_string("ablation-dir").empty()) {
     for (const Leg& l : legs) {

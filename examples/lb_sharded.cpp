@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
     own.row()
         .add(static_cast<std::int64_t>(d))
         .add(static_cast<std::int64_t>(map.nodes(d).size()))
-        .add(static_cast<std::int64_t>(halo.plan(d).owned_edges.size()))
+        .add(static_cast<std::int64_t>(halo.owned_edges(d)))
         .add(static_cast<std::int64_t>(halo.plan(d).links.size()))
         .add(initial, 1);
   }

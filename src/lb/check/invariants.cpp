@@ -214,76 +214,118 @@ void check_halo_mirrors(const shard::HaloExchange& halo) {
 
 void check_domain_plan(const graph::Graph& base,
                        const std::vector<std::uint32_t>& owner, std::size_t d,
-                       const shard::DomainPlan& plan) {
+                       const core::SegmentLayout& segs,
+                       const std::vector<shard::DomainPlan>& plans) {
   const auto& edges = base.edges();
-  for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
-    const graph::NodeId u = plan.nodes[i];
-    if (u >= base.num_nodes() || owner[u] != d) {
-      violated(format("csr: domain %zu plan row %zu: node %u is out of range "
-                      "or not owned by the domain",
-                      d, i, u));
-    }
-    if (i > 0 && plan.nodes[i - 1] >= u) {
-      violated(format("csr: domain %zu plan: nodes not strictly ascending at "
-                      "row %zu",
+  const std::size_t n = base.num_nodes();
+  const core::PartitionLayout& L = segs.segments;
+  const std::size_t S = L.parts();
+  if (d + 1 >= segs.unit_begin.size() || segs.unit_begin.back() != segs.unit_segments.size() ||
+      segs.owner.size() != S || segs.cut_from.size() != L.cut_edges.size() ||
+      segs.cut_to.size() != L.cut_edges.size() ||
+      segs.load_slot.size() != L.cut_edges.size() ||
+      segs.flow_slot.size() != L.cut_edges.size() || plans.size() + 1 != segs.unit_begin.size()) {
+    violated(format("domain plan: domain %zu: segment tables have inconsistent shapes", d));
+  }
+
+  // The segments cover exactly the nodes d owns: ascending, disjoint,
+  // maximal runs of d-owned ids whose sizes add up to d's node count.
+  const auto dom = static_cast<std::uint32_t>(d);
+  std::vector<std::uint32_t> seg_of(n, core::SegmentLayout::kLocal);
+  std::size_t covered = 0;
+  for (std::size_t i = segs.unit_begin[d]; i < segs.unit_begin[d + 1]; ++i) {
+    const std::uint32_t s = segs.unit_segments[i];
+    if (s >= S || segs.owner[s] != dom ||
+        (i > segs.unit_begin[d] && segs.unit_segments[i - 1] >= s)) {
+      violated(format("domain plan: domain %zu: segment entry %zu is out of range, "
+                      "out of order, or owned by another domain",
                       d, i));
     }
-  }
-  std::size_t expected_owned = 0;
-  for (std::size_t k = 0; k < edges.size(); ++k) {
-    if (owner[edges[k].u] != d) continue;
-    if (expected_owned >= plan.owned_edges.size() ||
-        plan.owned_edges[expected_owned] != k) {
-      violated(format("csr: domain %zu plan: owned_edges diverges from the "
-                      "ascending owner(e.u)==d sweep at base edge %zu",
-                      d, k));
+    const std::size_t lo = L.node_begin[s];
+    const std::size_t hi = L.node_begin[s + 1];
+    if (lo >= hi || hi > n || (lo > 0 && owner[lo - 1] == dom) ||
+        (hi < n && owner[hi] == dom)) {
+      violated(format("domain plan: domain %zu: segment %u [%zu, %zu) is empty or "
+                      "not a maximal run of the domain's nodes",
+                      d, s, lo, hi));
     }
-    ++expected_owned;
-  }
-  if (expected_owned != plan.owned_edges.size()) {
-    violated(format("csr: domain %zu plan: %zu owned edges listed but %zu "
-                    "expected",
-                    d, plan.owned_edges.size(), expected_owned));
-  }
-  if (plan.row_ptr.size() != plan.nodes.size() + 1 || plan.row_ptr.front() != 0 ||
-      plan.row_ptr.back() != plan.edge_idx.size() ||
-      plan.sign.size() != plan.edge_idx.size()) {
-    violated(format("csr: domain %zu plan: row_ptr/edge_idx/sign shapes are "
-                    "inconsistent",
-                    d));
-  }
-  for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
-    const graph::NodeId u = plan.nodes[i];
-    if (plan.row_ptr[i] > plan.row_ptr[i + 1]) {
-      violated(format("csr: domain %zu plan: row_ptr not monotone at row %zu",
-                      d, i));
+    for (std::size_t u = lo; u < hi; ++u) {
+      if (owner[u] != dom) {
+        violated(format("domain plan: domain %zu: segment %u holds node %zu, owned "
+                        "by domain %u",
+                        d, s, u, owner[u]));
+      }
+      seg_of[u] = s;
     }
-    for (std::size_t p = plan.row_ptr[i]; p < plan.row_ptr[i + 1]; ++p) {
-      const std::uint32_t k = plan.edge_idx[p];
-      if (k >= edges.size()) {
-        violated(format("csr: domain %zu plan row %zu: edge id %u out of "
-                        "range",
-                        d, i, k));
-      }
-      if (p > plan.row_ptr[i] && plan.edge_idx[p - 1] >= k) {
-        violated(format("csr: domain %zu plan row %zu (node %u): incident "
-                        "edge ids not strictly ascending at slot %zu",
-                        d, i, u, p));
-      }
+    covered += hi - lo;
+  }
+  const auto owned = static_cast<std::size_t>(std::count(owner.begin(), owner.end(), dom));
+  if (covered != owned) {
+    violated(format("domain plan: domain %zu: segments cover %zu nodes, the domain "
+                    "owns %zu",
+                    d, covered, owned));
+  }
+
+  // Outgoing cut edges: endpoint domains, and each remote edge's halo
+  // slots pointing at its v in the load payload d receives and at its id
+  // in the flow payload the peer receives.
+  for (std::size_t i = segs.unit_begin[d]; i < segs.unit_begin[d + 1]; ++i) {
+    const std::uint32_t s = segs.unit_segments[i];
+    for (std::size_t c = L.cut_begin[s]; c < L.cut_begin[s + 1]; ++c) {
+      const std::uint32_t k = L.cut_edges[c];
       const graph::Edge& e = edges[k];
-      if (e.u != u && e.v != u) {
-        violated(format("csr: domain %zu plan row %zu: node %u is not an "
-                        "endpoint of edge %u (%u,%u)",
-                        d, i, u, k, e.u, e.v));
+      if (segs.cut_from[c] != dom || segs.cut_to[c] != owner[e.v]) {
+        violated(format("domain plan: domain %zu: cut edge %u (%u,%u) records domains "
+                        "(%u,%u)",
+                        d, k, e.u, e.v, segs.cut_from[c], segs.cut_to[c]));
       }
-      const double expected_sign = (e.u == u) ? -1.0 : 1.0;
-      if (plan.sign[p] != expected_sign) {
-        violated(format("csr: domain %zu plan row %zu: orientation sign for "
-                        "edge %u (%u,%u) at node %u is %g, expected %g",
-                        d, i, k, e.u, e.v, u, plan.sign[p], expected_sign));
+      if (segs.cut_to[c] == dom) continue;
+      const shard::HaloLink* out = find_link(plans[d], segs.cut_to[c]);
+      const shard::HaloLink* in = find_link(plans[segs.cut_to[c]], dom);
+      const std::uint32_t ls = segs.load_slot[c];
+      const std::uint32_t fs = segs.flow_slot[c];
+      if (out == nullptr || ls >= out->recv_nodes.size() || out->recv_nodes[ls] != e.v) {
+        violated(format("domain plan: domain %zu: cut edge %u (%u,%u): load slot %u "
+                        "does not hold node %u in the halo from domain %u",
+                        d, k, e.u, e.v, ls, e.v, segs.cut_to[c]));
+      }
+      if (in == nullptr || fs >= in->recv_flow_edges.size() ||
+          in->recv_flow_edges[fs] != k) {
+        violated(format("domain plan: domain %zu: cut edge %u (%u,%u): flow slot %u "
+                        "does not hold the edge in domain %u's inbox",
+                        d, k, e.u, e.v, fs, segs.cut_to[c]));
       }
     }
   }
+
+  // Each segment's incoming list is exactly its cut edges, ascending.
+  std::vector<std::size_t> next(S, 0);
+  for (std::size_t k = 0; k < edges.size(); ++k) {
+    const graph::Edge& e = edges[k];
+    const std::uint32_t s = seg_of[e.v];
+    if (s == core::SegmentLayout::kLocal || e.u >= L.node_begin[s]) continue;
+    const std::size_t i = L.in_begin[s] + next[s]++;
+    if (i >= L.in_begin[s + 1] || L.incoming[i] >= L.cut_edges.size() ||
+        L.cut_edges[L.incoming[i]] != k) {
+      violated(format("domain plan: domain %zu: segment %u's incoming list does not "
+                      "hold cut edge %zu (%u,%u) at entry %zu",
+                      d, s, k, e.u, e.v, i));
+    }
+  }
+  for (std::size_t i = segs.unit_begin[d]; i < segs.unit_begin[d + 1]; ++i) {
+    const std::uint32_t s = segs.unit_segments[i];
+    if (L.in_begin[s] + next[s] != L.in_begin[s + 1]) {
+      violated(format("domain plan: domain %zu: segment %u lists %zu incoming cut "
+                      "edges, %zu cross into it",
+                      d, s, L.in_begin[s + 1] - L.in_begin[s], next[s]));
+    }
+  }
+}
+
+void check_domain_plan(const graph::Graph& base,
+                       const std::vector<std::uint32_t>& owner, std::size_t d,
+                       const shard::HaloExchange& halo) {
+  check_domain_plan(base, owner, d, halo.segments(), halo.plans());
 }
 
 // ---------------------------------------------------------------------------
@@ -443,12 +485,14 @@ void check_ledger(const core::FlowLedger& ledger, const graph::Graph& base) {
   check_csr_slice(base, ledger.row_ptr(), ledger.edge_indices(), ledger.signs());
 }
 
-void check_partition_plan(const core::PartitionLayout& plan, const graph::Graph& base) {
+void check_partition_plan(const core::PartitionLayout& plan, const graph::Graph& base,
+                          bool chunk_aligned) {
   const std::size_t n = base.num_nodes();
   const auto& edges = base.edges();
   const std::size_t parts = plan.parts();
   const std::size_t chunks = core::summary_chunk_count(n);
   if (parts == 0 || plan.chunk_edges.size() != chunks + 1 ||
+      plan.part_edges.size() != parts + 1 ||
       plan.cut_begin.size() != parts + 1 || plan.in_begin.size() != parts + 1 ||
       plan.incoming.size() != plan.cut_edges.size() || plan.node_begin.front() != 0 ||
       plan.node_begin.back() != n) {
@@ -463,7 +507,8 @@ void check_partition_plan(const core::PartitionLayout& plan, const graph::Graph&
   for (std::size_t p = 0; p < parts; ++p) {
     const std::size_t lo = plan.node_begin[p];
     const std::size_t hi = plan.node_begin[p + 1];
-    if (lo % core::kSummaryChunkWidth != 0 || hi > n || (lo >= hi && n != 0)) {
+    if ((chunk_aligned && lo % core::kSummaryChunkWidth != 0) || hi > n ||
+        (lo >= hi && n != 0)) {
       violated(format("partition plan: partition %zu range [%zu, %zu) is empty "
                       "or not aligned to the %zu-node chunk",
                       p, lo, hi, core::kSummaryChunkWidth));
@@ -482,6 +527,11 @@ void check_partition_plan(const core::PartitionLayout& plan, const graph::Graph&
       violated(format("partition plan: edge %zu (%u,%u) lies outside chunk %zu's "
                       "edge slice",
                       k, e.u, e.v, chunk));
+    }
+    if (k < plan.part_edges[owner[e.u]] || k >= plan.part_edges[owner[e.u] + 1]) {
+      violated(format("partition plan: edge %zu (%u,%u) lies outside partition %u's "
+                      "edge slice",
+                      k, e.u, e.v, owner[e.u]));
     }
     if (owner[e.u] == owner[e.v]) continue;
     if (cut >= plan.cut_edges.size() || plan.cut_edges[cut] != k ||

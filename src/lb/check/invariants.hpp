@@ -42,7 +42,7 @@ namespace lb::check {
 /// Thrown by every check below on a contract violation.  The what()
 /// string always begins with the invariant's name ("conservation",
 /// "flow antisymmetry", "halo mirror", "comm accounting", "csr",
-/// "partition plan", "edge mask") followed by round/edge/domain coordinates.
+/// "partition plan", "domain plan", "edge mask") followed by round/edge/domain coordinates.
 class InvariantViolation : public std::runtime_error {
  public:
   explicit InvariantViolation(const std::string& what)
@@ -128,15 +128,21 @@ void check_flow_antisymmetry(const core::FlowProgram<T>& program,
 void check_halo_mirrors(const std::vector<shard::DomainPlan>& plans);
 void check_halo_mirrors(const shard::HaloExchange& halo);
 
-/// Verify one domain plan against the base graph and ownership vector:
-/// nodes ascending and owned by `d`; owned_edges exactly the ascending
-/// base edges with owner(e.u) == d; the CSR slice well-formed (row_ptr
-/// monotone and sized, incident edge ids ascending per row, each row's
-/// node an endpoint of every listed edge, sign −1 exactly when the node
-/// is the edge's u).
+/// Verify domain d's tables (DESIGN.md §7) against the base graph and
+/// ownership vector: d's segments cover exactly the nodes it owns, as
+/// ascending maximal runs; every outgoing cut edge records its endpoint
+/// domains, and each remote one's load slot holds its v in the load
+/// payload d receives from v's domain and its flow slot holds its id in
+/// the flow payload that domain receives; and each of d's segments lists
+/// exactly the cut edges into it, ascending.  The raw overload is the
+/// mutation-testable core.
 void check_domain_plan(const graph::Graph& base,
                        const std::vector<std::uint32_t>& owner, std::size_t d,
-                       const shard::DomainPlan& plan);
+                       const core::SegmentLayout& segs,
+                       const std::vector<shard::DomainPlan>& plans);
+void check_domain_plan(const graph::Graph& base,
+                       const std::vector<std::uint32_t>& owner, std::size_t d,
+                       const shard::HaloExchange& halo);
 
 // ---------------------------------------------------------------------------
 // Comm accounting
@@ -192,14 +198,16 @@ void check_csr_slice(const graph::Graph& base,
 /// Verify a live ledger (must be valid_for(base)).
 void check_ledger(const core::FlowLedger& ledger, const graph::Graph& base);
 
-/// Verify a partitioned round's plan (DESIGN.md §9.6) against `base`:
-/// node ranges chunk-aligned, nonempty and covering [0, n); each edge
-/// slice exactly the edges whose u the partition owns; the cut list
-/// exactly the edges whose endpoints have different owners, ascending
-/// and grouped by the owner of u; and every cut edge exactly once, in
-/// ascending order, in the incoming list of the owner of its v.  Takes
-/// the raw layout so the mutation tests can seed violations.
-void check_partition_plan(const core::PartitionLayout& plan, const graph::Graph& base);
+/// Verify a partitioned round's layout (DESIGN.md §9.6) against `base`:
+/// node ranges nonempty and covering [0, n) (and chunk-aligned, for the
+/// pool layout; ownership segments are not); each chunk and partition
+/// edge slice exactly the edges whose u it holds; the cut list exactly
+/// the edges whose endpoints lie in different partitions, ascending and
+/// grouped by the partition of u; and every cut edge exactly once, in
+/// ascending order, in the incoming list of the partition of its v.
+/// Takes the raw layout so the mutation tests can seed violations.
+void check_partition_plan(const core::PartitionLayout& plan, const graph::Graph& base,
+                          bool chunk_aligned = true);
 
 /// Verify claimed mask summaries against a recount of the alive bitmap:
 /// per-node alive-degrees, the alive-edge count, and the max/min

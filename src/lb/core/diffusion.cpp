@@ -25,6 +25,46 @@ double diffusion_edge_weight(const graph::Graph& g, graph::NodeId i, graph::Node
   return std::fabs(load_i - load_j) / denom;
 }
 
+namespace {
+
+/// The masked round's flow: the denominator is computed inline from the
+/// mask's alive-degree view.  It is the identical double the
+/// materialized path derives from its subgraph degrees, so the flows —
+/// and therefore the loads — are bit-identical to the rebuild oracle.
+/// The frame must outlive the round (it lives in the sequence).
+template <class T>
+auto masked_flow(const graph::TopologyFrame& frame, const DiffusionConfig& cfg) {
+  const double factor = cfg.factor;
+  const double degree_plus_one = static_cast<double>(frame.max_degree()) + 1.0;
+  const DenominatorRule rule = cfg.rule;
+  return [&frame, factor, degree_plus_one, rule](std::size_t, const graph::Edge& e,
+                                                 double li, double lj) {
+    if (li == lj) return 0.0;
+    const double denom =
+        masked_diffusion_denominator(frame, e, rule, factor, degree_plus_one);
+    double w = std::fabs(li - lj) / denom;
+    if constexpr (std::is_integral_v<T>) {
+      w = std::floor(w);
+    }
+    return li > lj ? w : -w;
+  };
+}
+
+/// The unmasked round's flow over the per-epoch cached denominators.
+template <class T>
+auto cached_flow(const std::vector<double>& denoms) {
+  return [&denoms](std::size_t k, const graph::Edge&, double li, double lj) {
+    if (li == lj) return 0.0;
+    double w = std::fabs(li - lj) / denoms[k];
+    if constexpr (std::is_integral_v<T>) {
+      w = std::floor(w);
+    }
+    return li > lj ? w : -w;
+  };
+}
+
+}  // namespace
+
 template <class T>
 DiffusionBalancer<T>::DiffusionBalancer(DiffusionConfig cfg) : cfg_(cfg) {
   LB_ASSERT_MSG(cfg_.factor > 0.0, "diffusion factor must be positive");
@@ -55,26 +95,8 @@ StepStats DiffusionBalancer<T>::step_masked(RoundContext<T>& ctx,
   stats.links = frame.num_edges();
 
   // Alive-degrees move with every mask revision, so the per-epoch
-  // denominator cache buys nothing here; the denominator is computed
-  // inline from the mask's degree view.  It is the identical double the
-  // materialized path derives from its subgraph degrees, so the flows —
-  // and therefore the loads — are bit-identical to the rebuild oracle.
-  const double factor = cfg_.factor;
-  const double degree_plus_one = static_cast<double>(frame.max_degree()) + 1.0;
-  const DenominatorRule rule = cfg_.rule;
-  const auto flow_fn = [&frame, factor, degree_plus_one, rule](
-                           std::size_t, const graph::Edge& e, double li, double lj) {
-    if (li == lj) return 0.0;
-    const double denom =
-        masked_diffusion_denominator(frame, e, rule, factor, degree_plus_one);
-    double w = std::fabs(li - lj) / denom;
-    if constexpr (std::is_integral_v<T>) {
-      w = std::floor(w);
-    }
-    return li > lj ? w : -w;
-  };
-
-  run_edge_flow_round(ctx, load, pool, stats, flow_fn);
+  // denominator cache buys nothing here.
+  run_edge_flow_round(ctx, load, pool, stats, masked_flow<T>(frame, cfg_));
   return stats;
 }
 
@@ -118,20 +140,10 @@ StepStats DiffusionBalancer<T>::step(RoundContext<T>& ctx, std::vector<T>& load)
   // loads — remain bit-identical to the edge-sweep path.
   ensure_denominators(g, pool);
 
-  const auto flow_fn = [this](std::size_t k, const graph::Edge&, double li,
-                              double lj) {
-    if (li == lj) return 0.0;
-    double w = std::fabs(li - lj) / denoms_[k];
-    if constexpr (std::is_integral_v<T>) {
-      w = std::floor(w);
-    }
-    return li > lj ? w : -w;
-  };
-
   // The partitioned fused round (round_context.hpp): same flows from the
   // same snapshot, same per-node update order as the edge sweep at every
   // pool size, with the summary and StepStats as fixed-chunk folds.
-  run_edge_flow_round(ctx, load, pool, stats, flow_fn);
+  run_edge_flow_round(ctx, load, pool, stats, cached_flow<T>(denoms_));
   return stats;
 }
 
@@ -170,35 +182,11 @@ bool DiffusionBalancer<T>::plan_round(RoundContext<T>& ctx, FlowProgram<T>& prog
   if (cfg_.apply != ApplyPath::kLedger) return false;
   program.links = ctx.frame().num_edges();
   if (ctx.masked()) {
-    // Same inline alive-degree denominator as step_masked's flow_fn; the
-    // frame reference outlives the round (it lives in the sequence).
-    const graph::TopologyFrame& frame = ctx.frame();
-    const double factor = cfg_.factor;
-    const double degree_plus_one = static_cast<double>(frame.max_degree()) + 1.0;
-    const DenominatorRule rule = cfg_.rule;
-    program.flow = [&frame, factor, degree_plus_one, rule](
-                       std::size_t, const graph::Edge& e, double li, double lj) {
-      if (li == lj) return 0.0;
-      const double denom =
-          masked_diffusion_denominator(frame, e, rule, factor, degree_plus_one);
-      double w = std::fabs(li - lj) / denom;
-      if constexpr (std::is_integral_v<T>) {
-        w = std::floor(w);
-      }
-      return li > lj ? w : -w;
-    };
+    plan_edge_flow_round(program, masked_flow<T>(ctx.frame(), cfg_));
     return true;
   }
-  const graph::Graph& g = ctx.graph();
-  ensure_denominators(g, cfg_.parallel ? ctx.pool() : nullptr);
-  program.flow = [this](std::size_t k, const graph::Edge&, double li, double lj) {
-    if (li == lj) return 0.0;
-    double w = std::fabs(li - lj) / denoms_[k];
-    if constexpr (std::is_integral_v<T>) {
-      w = std::floor(w);
-    }
-    return li > lj ? w : -w;
-  };
+  ensure_denominators(ctx.graph(), cfg_.parallel ? ctx.pool() : nullptr);
+  plan_edge_flow_round(program, cached_flow<T>(denoms_));
   return true;
 }
 

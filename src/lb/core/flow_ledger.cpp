@@ -183,32 +183,6 @@ void apply_edge_sweep_with_stats(const graph::Graph& g,
   fold_flow_totals(chunk, stats);
 }
 
-template <class T>
-void accumulate_flow_totals(const graph::TopologyFrame& frame,
-                            const PartitionLayout& plan,
-                            const std::vector<double>& flows, util::ThreadPool* pool,
-                            std::vector<StepStats>& parts, StepStats& stats) {
-  LB_ASSERT_MSG(flows.size() == frame.num_base_edges(),
-                "flow vector does not match base graph");
-  const std::size_t n = frame.num_nodes();
-  parts.resize(summary_chunk_count(n));
-  util::for_fixed_chunks(
-      pool, n, kSummaryChunkWidth, [&](std::size_t c, std::size_t, std::size_t) {
-        StepStats chunk;
-        for (std::size_t k = plan.chunk_edges[c]; k < plan.chunk_edges[c + 1]; ++k) {
-          if (!frame.alive(k)) continue;
-          const double f = flows[k];
-          if (f == 0.0) continue;
-          const T amount = static_cast<T>(std::fabs(f));
-          if (amount == T{}) continue;
-          chunk.transferred += static_cast<double>(amount);
-          ++chunk.active_edges;
-        }
-        parts[c] = chunk;
-      });
-  fold_flow_totals(parts, stats);
-}
-
 #define LB_INSTANTIATE(T)                                                      \
   template void FlowLedger::apply<T>(const graph::Graph&,                      \
                                      const std::vector<double>&,               \
@@ -222,12 +196,7 @@ void accumulate_flow_totals(const graph::TopologyFrame& frame,
                                     std::vector<T>&);                          \
   template void apply_edge_sweep_with_stats<T>(const graph::Graph&,            \
                                                const std::vector<double>&,     \
-                                               std::vector<T>&, StepStats&);   \
-  template void accumulate_flow_totals<T>(const graph::TopologyFrame&,         \
-                                         const PartitionLayout&,               \
-                                         const std::vector<double>&,           \
-                                         util::ThreadPool*,                    \
-                                         std::vector<StepStats>&, StepStats&);
+                                               std::vector<T>&, StepStats&);
 
 LB_INSTANTIATE(double)
 LB_INSTANTIATE(std::int64_t)

@@ -34,7 +34,6 @@
 
 #include "lb/core/algorithm.hpp"
 #include "lb/core/metrics.hpp"
-#include "lb/core/partition_plan.hpp"
 #include "lb/graph/edge_mask.hpp"
 #include "lb/graph/graph.hpp"
 #include "lb/util/index_array.hpp"
@@ -211,18 +210,6 @@ template <class T>
 void apply_edge_sweep_with_stats(const graph::Graph& g,
                                  const std::vector<double>& flows,
                                  std::vector<T>& load, StepStats& stats);
-
-/// The source-chunk fold of a filled flow vector (indexed by base edge
-/// id; dead slots of a masked frame are skipped unread), with the cast
-/// and skip rules of apply_edge_sweep.  `plan` is any partition plan of
-/// the frame's base graph (only its per-chunk edge offsets are read).
-/// Chunks run on `pool`; `parts` is the caller's per-chunk scratch.
-/// `stats.links` is left to the caller.
-template <class T>
-void accumulate_flow_totals(const graph::TopologyFrame& frame,
-                            const PartitionLayout& plan,
-                            const std::vector<double>& flows, util::ThreadPool* pool,
-                            std::vector<StepStats>& parts, StepStats& stats);
 
 /// Phase 1 of the shared kernel: fill `flows` with
 /// flow_fn(edge_index, edge, load_u, load_v) for every edge, edge-parallel

@@ -9,16 +9,16 @@
 // algorithm.hpp) by filling one of these; the sharded engine then runs
 // the identical arithmetic through its ownership/halo machinery.
 //
-// The bit-identity contract: replaying a program through
-//   compute-flows (ascending edge order, round-start snapshot)
-//   + per-node gather in ascending incident-edge order
-//   + optional per-node post combine
-// must produce the exact load vector step() produces.  Every closure
-// below is therefore required to be PURE in its stated inputs — flows
-// may depend only on (edge index, endpoints, the two endpoint loads at
-// round start), never on neighbouring loads or mutable state — because a
-// remote domain evaluates it against halo *copies* of those operands and
-// copies of doubles are bitwise verbatim.
+// An all-edges round reaches the sharded engine as `run_segments`: one
+// type-erased call per round into the same edge-flow executor step()
+// runs (round_context.hpp, plan_edge_flow_round), on the ownership
+// segments instead of the pool layout, so the balancer's typed flow
+// functor runs in the executor's inner loops with no per-edge
+// indirection.  Flows must be PURE in their stated inputs — they may
+// depend only on (edge index, endpoints, the two endpoint loads at round
+// start), never on neighbouring loads or mutable state — because a
+// remote domain evaluates them against halo *copies* of those operands
+// and copies of doubles are bitwise verbatim.
 #pragma once
 
 #include <cstdint>
@@ -29,12 +29,17 @@
 
 namespace lb::core {
 
+struct StepStats;
+template <class T>
+class RoundContext;
+template <class T>
+class SegmentSource;
+
 template <class T>
 struct FlowProgram {
   /// Which edges carry flow this round.
   enum class Support : std::uint8_t {
-    /// Every alive edge (diffusion, FOS, SOS): flows are gathered per
-    /// node over all incident edges, exactly like FlowLedger.
+    /// Every alive edge (diffusion, FOS, SOS): executed by run_segments.
     kAllEdges,
     /// Only `matched` (dimension exchange): a vertex-disjoint edge set in
     /// matching order; each endpoint receives a single ±amount update.
@@ -44,30 +49,31 @@ struct FlowProgram {
   /// Signed flow for edge k = (e.u, e.v) from the round-start endpoint
   /// loads; positive moves load u -> v.  Must reproduce the balancer's
   /// step() flow for that edge bit for bit (same operand values, same
-  /// operation order).
+  /// operation order).  The matching rounds run on it; for all-edges
+  /// rounds it is the check layer's antisymmetry probe.
   using FlowFn =
       std::function<double(std::size_t k, const graph::Edge& e, double lu, double lv)>;
 
-  /// Optional per-node combine applied after the flow apply: the node's
-  /// final value from (applied gather result, round-start value).  Runs
-  /// exactly once per node per round, in any order across nodes (it may
-  /// only touch per-node state, e.g. SOS's prev_[u]).
-  using PostFn = std::function<T(std::size_t u, T applied, T before)>;
+  /// The all-edges round on a segment source: runs the whole round
+  /// (loads, fused summary, StepStats into `stats`).
+  using SegmentRoundFn = std::function<void(RoundContext<T>& ctx, std::vector<T>& load,
+                                            SegmentSource<T>& source, StepStats& stats)>;
 
   Support support = Support::kAllEdges;
   FlowFn flow;
+  /// kAllEdges only.
+  SegmentRoundFn run_segments;
   /// Base edge ids in matching order (kMatching only).  Ids index the
   /// frame's BASE edge list, so masked rounds need no materialized view.
   std::vector<std::uint32_t> matched;
-  PostFn post;
   /// StepStats::links for the round (|E| or matching size).
   std::size_t links = 0;
 
   void reset() {
     support = Support::kAllEdges;
     flow = nullptr;
+    run_segments = nullptr;
     matched.clear();
-    post = nullptr;
     links = 0;
   }
 };

@@ -47,9 +47,8 @@ bool FirstOrderScheme::plan_round(RoundContext<double>& ctx,
   const graph::TopologyFrame& frame = ctx.frame();
   const double alpha = 1.0 / (static_cast<double>(frame.max_degree()) + 1.0);
   program.links = frame.num_edges();
-  program.flow = [alpha](std::size_t, const graph::Edge&, double lu, double lv) {
-    return alpha * (lu - lv);
-  };
+  plan_edge_flow_round(program, [alpha](std::size_t, const graph::Edge&, double lu,
+                                        double lv) { return alpha * (lu - lv); });
   return true;
 }
 

@@ -20,11 +20,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <type_traits>
 #include <vector>
 
 #include "lb/core/flow_ledger.hpp"
+#include "lb/core/flow_program.hpp"
 #include "lb/core/load.hpp"
 #include "lb/core/metrics.hpp"
 #include "lb/core/partition_plan.hpp"
@@ -55,7 +58,8 @@ template <class T>
 class RunArena {
  public:
   /// Per-edge signed flow buffer (positive moves load u -> v), for the
-  /// kEdgeSweep oracle paths and the sharded engine.
+  /// kEdgeSweep oracle paths only: the edge-flow executor, and with it
+  /// the sharded engine, keeps no per-edge flow buffer.
   std::vector<double>& flows() { return flows_; }
   /// Per-node T scratch (round-start snapshots, per-node deltas).
   /// Handing the buffer out invalidates the edge-flow executor's
@@ -72,7 +76,8 @@ class RunArena {
   std::vector<SummaryPartial<T>>& summary_parts() { return summary_parts_; }
   /// Per-chunk StepStats partials (the source-chunk fold, DESIGN.md §4).
   std::vector<StepStats>& flow_totals() { return flow_totals_; }
-  /// Flow slots of the partitioned round's cut edges (one per cut edge).
+  /// Flow slots of the partitioned round's cut edges (one per cut edge
+  /// of the pool layout or of the ownership segments).
   std::vector<double>& cut_flows() { return cut_flows_; }
   /// The shared CSR incident-edge view (matching rounds); callers go
   /// through RoundContext::ledger(), which ensure()s it against the
@@ -269,13 +274,64 @@ struct NoPostCombine {
   }
 };
 
+/// One domain's halo view for a segment round, from its SegmentSource.
+/// Payloads are raw message bytes, read and written with std::memcpy.
+struct DomainHalo {
+  /// [peer]: the round-start loads (T) of peer's boundary nodes as this
+  /// domain received them, read in place at SegmentLayout::load_slot.
+  const std::byte* const* loads = nullptr;
+  /// [peer]: write cursor into this domain's outgoing flow payload
+  /// (double) toward peer: its alive remote cut flows, ascending edge id.
+  std::byte** flows_out = nullptr;
+};
+
+/// Value i of a payload of V.
+template <class V>
+inline V payload_at(const std::byte* payload, std::size_t i) {
+  V value;
+  std::memcpy(&value, payload + i * sizeof(V), sizeof(V));
+  return value;
+}
+
+/// The ownership-segment partition source of the edge-flow executor
+/// (DESIGN.md §7, §9.6): the layout plus the halo side of the round,
+/// which lb::shard implements over its comm channels.  The executor calls
+/// each hook once per domain per phase, never per edge or per node.  The
+/// node-load superstep (every domain shipping its boundary loads) has
+/// been delivered before the round starts.
+template <class T>
+class SegmentSource {
+ public:
+  virtual const SegmentLayout& layout() const = 0;
+  /// Phase A prologue of domain d.
+  virtual DomainHalo open_phase_a(std::size_t d) = 0;
+  /// The flow superstep barrier between phases A and B.
+  virtual void deliver_flows() = 0;
+  /// Phase B prologue of domain d: [peer] the flows (double) received
+  /// from peer, by SegmentLayout::flow_slot (a dead edge's slot reads 0).
+  virtual const std::byte* const* open_phase_b(std::size_t d) = 0;
+
+ protected:
+  ~SegmentSource() = default;
+};
+
 namespace detail {
 
-/// Applies one edge's flow to the endpoints this partition owns: always
-/// u, and v unless the edge is cut (v's owner applies that side).  The
-/// skip and cast rules are the seed edge sweep's, so every per-node
-/// update rounds exactly as apply_edge_sweep's does.  Returns the moved
-/// amount (0 when nothing moved).
+/// The pool layout's stand-in for a segment source: one segment per
+/// worker, all of it local.
+struct PoolSegments {};
+
+/// The amount a flow moves, with the seed edge sweep's skip and cast
+/// rules (0 when nothing moves).
+template <class T>
+inline T moved_amount(double f) {
+  return f == 0.0 ? T{} : static_cast<T>(std::fabs(f));
+}
+
+/// Applies one edge's flow to the endpoints this segment owns: always u,
+/// and v unless the edge is cut (v's segment applies that side), so every
+/// per-node update rounds exactly as apply_edge_sweep's does.  Returns
+/// the moved amount.
 template <class T>
 inline T apply_owned_flow(std::vector<T>& load, const graph::Edge& e, double f,
                           bool cut) {
@@ -292,19 +348,30 @@ inline T apply_owned_flow(std::vector<T>& load, const graph::Edge& e, double f,
   return amount;
 }
 
-template <bool Masked, class T, class FlowFn, class PostFn>
+template <bool Masked, class T, class FlowFn, class PostFn, class Source>
 void run_partitioned_round(RoundContext<T>& ctx, std::vector<T>& load,
                            util::ThreadPool* pool, StepStats& stats,
-                           FlowFn& flow_fn, PostFn& post) {
+                           FlowFn& flow_fn, PostFn& post, Source& source) {
+  // Ownership segments: several segments per unit (domain), cut edges
+  // that cross domains, chunks that straddle segments.
+  constexpr bool kOwned = !std::is_same_v<Source, PoolSegments>;
   const graph::TopologyFrame& frame = ctx.frame();
   const graph::Graph& base = frame.base();
   const std::size_t n = base.num_nodes();
   LB_ASSERT_MSG(load.size() == n, "load vector does not match graph");
   if (n == 0) return;
   RunArena<T>& arena = ctx.arena();
-  const std::size_t workers = pool == nullptr ? 1 : pool->size();
-  const PartitionLayout& plan = arena.partition_plan(base, workers).layout();
-  const std::size_t parts = plan.parts();
+  const SegmentLayout* owned = nullptr;
+  const PartitionLayout* layout = nullptr;
+  if constexpr (kOwned) {
+    owned = &source.layout();
+    layout = &owned->segments;
+  } else {
+    const std::size_t workers = pool == nullptr ? 1 : pool->size();
+    layout = &arena.partition_plan(base, workers).layout();
+  }
+  const PartitionLayout& plan = *layout;
+  const std::size_t units = kOwned ? owned->domains() : plan.parts();
   const auto& edges = base.edges();
 
   const bool ready = arena.snapshot_ready();
@@ -329,129 +396,215 @@ void run_partitioned_round(RoundContext<T>& ctx, std::vector<T>& load,
   // Without a post-combine the applied value is already in place.
   constexpr bool kHasPost = !std::is_same_v<std::remove_cvref_t<PostFn>, NoPostCombine>;
 
-  // Phase A: outgoing cut flows from the round-start loads (nothing
-  // writes `load` in this phase), plus this range of the snapshot when
-  // the cache is cold.
-  const auto phase_a = [&](std::size_t p) {
-    for (std::size_t c = plan.cut_begin[p]; c < plan.cut_begin[p + 1]; ++c) {
-      const std::uint32_t k = plan.cut_edges[c];
-      if constexpr (Masked) {
-        if (!frame.alive(k)) {
-          cut_flows[c] = 0.0;
-          continue;
-        }
+  // fn(s) for every segment of unit p, ascending.
+  const auto each_segment = [&](std::size_t p, const auto& fn) {
+    if constexpr (kOwned) {
+      for (std::size_t i = owned->unit_begin[p]; i < owned->unit_begin[p + 1]; ++i) {
+        fn(owned->unit_segments[i]);
       }
-      const graph::Edge& e = edges[k];
-      cut_flows[c] = flow_fn(k, e, static_cast<double>(load[e.u]),
-                             static_cast<double>(load[e.v]));
+    } else {
+      fn(p);
     }
-    if (!ready) {
-      std::copy(load.begin() + static_cast<std::ptrdiff_t>(plan.node_begin[p]),
-                load.begin() + static_cast<std::ptrdiff_t>(plan.node_begin[p + 1]),
-                snapshot.begin() + static_cast<std::ptrdiff_t>(plan.node_begin[p]));
+  };
+
+  // Phase A: outgoing cut flows from the round-start loads (nothing
+  // writes `load` in this phase), plus the unit's ranges of the snapshot
+  // when the cache is cold.  A flow bound for another domain reads v's
+  // load from the received halo and is packed into that link's payload.
+  // Straddled chunks get their StepStats partial here, recomputed from
+  // the round-start loads in ascending edge id.
+  const auto phase_a = [&](std::size_t p) {
+    [[maybe_unused]] DomainHalo halo;
+    if constexpr (kOwned) halo = source.open_phase_a(p);
+    each_segment(p, [&](std::size_t s) {
+      for (std::size_t c = plan.cut_begin[s]; c < plan.cut_begin[s + 1]; ++c) {
+        const std::uint32_t k = plan.cut_edges[c];
+        if constexpr (Masked) {
+          if (!frame.alive(k)) {
+            cut_flows[c] = 0.0;
+            continue;
+          }
+        }
+        const graph::Edge& e = edges[k];
+        if constexpr (kOwned) {
+          const std::uint32_t to = owned->cut_to[c];
+          if (to != p) {
+            const T lv = payload_at<T>(halo.loads[to], owned->load_slot[c]);
+            const double f = flow_fn(k, e, static_cast<double>(load[e.u]),
+                                     static_cast<double>(lv));
+            cut_flows[c] = f;
+            std::memcpy(halo.flows_out[to], &f, sizeof f);
+            halo.flows_out[to] += sizeof f;
+            continue;
+          }
+        }
+        cut_flows[c] = flow_fn(k, e, static_cast<double>(load[e.u]),
+                               static_cast<double>(load[e.v]));
+      }
+      if (!ready) {
+        std::copy(load.begin() + static_cast<std::ptrdiff_t>(plan.node_begin[s]),
+                  load.begin() + static_cast<std::ptrdiff_t>(plan.node_begin[s + 1]),
+                  snapshot.begin() + static_cast<std::ptrdiff_t>(plan.node_begin[s]));
+      }
+    });
+    if constexpr (kOwned) {
+      for (std::size_t i = owned->straddle_begin[p]; i < owned->straddle_begin[p + 1]; ++i) {
+        const std::size_t chunk = owned->straddled[i];
+        StepStats moved;
+        for (std::size_t k = plan.chunk_edges[chunk]; k < plan.chunk_edges[chunk + 1]; ++k) {
+          if constexpr (Masked) {
+            if (!frame.alive(k)) continue;
+          }
+          const graph::Edge& e = edges[k];
+          const T amount = moved_amount<T>(flow_fn(k, e, static_cast<double>(load[e.u]),
+                                                   static_cast<double>(load[e.v])));
+          if (amount == T{}) continue;
+          moved.transferred += static_cast<double>(amount);
+          ++moved.active_edges;
+        }
+        totals[chunk] = moved;
+      }
     }
   };
 
   // Phase B: incoming cut flows (every one has a smaller edge id than any
-  // edge of this slice), then the blocked fused sweep over the slice.
+  // edge of the segment), then the blocked fused sweep over the segment.
   // A node is final once the sweep has passed every edge whose u is at or
   // below it, so each block's epilogue — post-combine, summary and StepStats
-  // folds, snapshot refresh — runs while the block is cache-resident.
+  // folds, snapshot refresh — runs while the block is cache-resident.  A
+  // chunk the segment holds only part of is finalized here but gets its
+  // partials elsewhere (phase A, and after the barrier).
   const auto phase_b = [&](std::size_t p) {
-    const std::size_t lo = plan.node_begin[p];
-    const std::size_t hi = plan.node_begin[p + 1];
-    for (std::size_t i = plan.in_begin[p]; i < plan.in_begin[p + 1]; ++i) {
-      const std::uint32_t c = plan.incoming[i];
-      const double f = cut_flows[c];
-      if (f == 0.0) continue;
-      const T amount = static_cast<T>(std::fabs(f));
-      if (amount == T{}) continue;
-      const graph::NodeId v = edges[plan.cut_edges[c]].v;
-      if (f > 0.0) {
-        load[v] += amount;
-      } else {
-        load[v] -= amount;
-      }
-    }
-    // Scalars the load stores could alias (a T store may alias a double
-    // or an index of the same width) are held in locals.
-    const double avg = average;
-    std::size_t next_cut = plan.cut_begin[p];
-    // One chunk's edge slice; a partition without outgoing cut edges
-    // (every partition at P = 1) runs the variant with no cut test.
-    const auto sweep_chunk = [&](std::size_t chunk, auto has_cuts) {
-      const std::size_t k_end = plan.chunk_edges[chunk + 1];
-      const std::size_t end_node = hi;
-      std::size_t cut_pos = next_cut;
-      StepStats moved;
-      for (std::size_t k = plan.chunk_edges[chunk]; k < k_end; ++k) {
-        const graph::Edge& e = edges[k];
-        const bool cut = decltype(has_cuts)::value && e.v >= end_node;
-        double f;
-        if (cut) {
-          f = cut_flows[cut_pos++];
-        } else {
-          if constexpr (Masked) {
-            if (!frame.alive(k)) continue;
-          }
-          f = flow_fn(k, e, static_cast<double>(snapshot[e.u]),
-                      static_cast<double>(snapshot[e.v]));
+    [[maybe_unused]] const std::byte* const* inbox = nullptr;
+    if constexpr (kOwned) inbox = source.open_phase_b(p);
+    each_segment(p, [&](std::size_t s) {
+      const std::size_t lo = plan.node_begin[s];
+      const std::size_t hi = plan.node_begin[s + 1];
+      for (std::size_t i = plan.in_begin[s]; i < plan.in_begin[s + 1]; ++i) {
+        const std::uint32_t c = plan.incoming[i];
+        double f = cut_flows[c];
+        if constexpr (kOwned) {
+          const std::uint32_t from = owned->cut_from[c];
+          if (from != p) f = payload_at<double>(inbox[from], owned->flow_slot[c]);
         }
-        const T amount = apply_owned_flow(load, e, f, cut);
+        const T amount = moved_amount<T>(f);
         if (amount == T{}) continue;
-        moved.transferred += static_cast<double>(amount);
-        ++moved.active_edges;
+        const graph::NodeId v = edges[plan.cut_edges[c]].v;
+        if (f > 0.0) {
+          load[v] += amount;
+        } else {
+          load[v] -= amount;
+        }
       }
-      next_cut = cut_pos;
-      return moved;
-    };
-    const bool has_cuts = plan.cut_begin[p] != plan.cut_begin[p + 1];
-    const std::size_t block = width == 0 ? hi - lo : width;
-    for (std::size_t blo = lo; blo < hi; blo += block) {
-      const std::size_t bhi = std::min(blo + block, hi);
-      const std::size_t first_chunk = blo / kSummaryChunkWidth;
-      const std::size_t end_chunk = summary_chunk_count(bhi);
-      for (std::size_t chunk = first_chunk; chunk < end_chunk; ++chunk) {
-        totals[chunk] = has_cuts ? sweep_chunk(chunk, std::true_type{})
-                                 : sweep_chunk(chunk, std::false_type{});
+      // Scalars the load stores could alias (a T store may alias a double
+      // or an index of the same width) are held in locals.
+      const double avg = average;
+      std::size_t next_cut = plan.cut_begin[s];
+      // One edge slice; a segment without outgoing cut edges (every
+      // partition at P = 1) runs the variant with no cut test.
+      const auto sweep = [&](std::size_t k_begin, std::size_t k_end, auto has_cuts) {
+        const std::size_t end_node = hi;
+        std::size_t cut_pos = next_cut;
+        StepStats moved;
+        for (std::size_t k = k_begin; k < k_end; ++k) {
+          const graph::Edge& e = edges[k];
+          const bool cut = decltype(has_cuts)::value && e.v >= end_node;
+          double f;
+          if (cut) {
+            f = cut_flows[cut_pos++];
+          } else {
+            if constexpr (Masked) {
+              if (!frame.alive(k)) continue;
+            }
+            f = flow_fn(k, e, static_cast<double>(snapshot[e.u]),
+                        static_cast<double>(snapshot[e.v]));
+          }
+          const T amount = apply_owned_flow(load, e, f, cut);
+          if (amount == T{}) continue;
+          moved.transferred += static_cast<double>(amount);
+          ++moved.active_edges;
+        }
+        next_cut = cut_pos;
+        return moved;
+      };
+      const bool has_cuts = plan.cut_begin[s] != plan.cut_begin[s + 1];
+      const std::size_t first_chunk = lo / kSummaryChunkWidth;
+      const std::size_t end_chunk = summary_chunk_count(hi);
+      const std::size_t per_block =
+          width == 0 ? end_chunk - first_chunk : width / kSummaryChunkWidth;
+      for (std::size_t c0 = first_chunk; c0 < end_chunk; c0 += per_block) {
+        const std::size_t c1 = std::min(c0 + per_block, end_chunk);
+        for (std::size_t chunk = c0; chunk < c1; ++chunk) {
+          std::size_t k_begin = plan.chunk_edges[chunk];
+          std::size_t k_end = plan.chunk_edges[chunk + 1];
+          bool whole = true;
+          if constexpr (kOwned) {
+            if (chunk * kSummaryChunkWidth < lo) {
+              k_begin = plan.part_edges[s];
+              whole = false;
+            }
+            if (std::min(chunk * kSummaryChunkWidth + kSummaryChunkWidth, n) > hi) {
+              k_end = plan.part_edges[s + 1];
+              whole = false;
+            }
+          }
+          const StepStats moved = has_cuts ? sweep(k_begin, k_end, std::true_type{})
+                                           : sweep(k_begin, k_end, std::false_type{});
+          if (whole) totals[chunk] = moved;
+        }
+        for (std::size_t chunk = c0; chunk < c1; ++chunk) {
+          const std::size_t clo = std::max(chunk * kSummaryChunkWidth, lo);
+          const std::size_t chi = std::min(chunk * kSummaryChunkWidth + kSummaryChunkWidth, hi);
+          const auto finalize = [&](std::size_t u) {
+            const T applied = load[u];
+            const T value = post(u, applied, snapshot[u]);
+            if constexpr (kHasPost) load[u] = value;
+            snapshot[u] = value;
+            return value;
+          };
+          const bool whole = !kOwned || (clo == chunk * kSummaryChunkWidth &&
+                                         chi == std::min(clo + kSummaryChunkWidth, n));
+          if (!summarize || !whole) {
+            for (std::size_t u = clo; u < chi; ++u) finalize(u);
+            continue;
+          }
+          SummaryPartial<T> part;
+          const T first = finalize(clo);
+          summary_begin(part, first);
+          summary_accumulate(part, first, avg, mode);
+          for (std::size_t u = clo + 1; u < chi; ++u) {
+            summary_accumulate(part, finalize(u), avg, mode);
+          }
+          summary_parts[chunk] = part;
+        }
       }
-      for (std::size_t chunk = first_chunk; chunk < end_chunk; ++chunk) {
+    });
+  };
+
+  const auto each = [&](const auto& phase) {
+    if (units == 1 || pool == nullptr || pool->size() <= 1) {
+      for (std::size_t p = 0; p < units; ++p) phase(p);
+      return;
+    }
+    pool->parallel_for(0, units, 1, [&](std::size_t first, std::size_t last) {
+      for (std::size_t p = first; p < last; ++p) phase(p);
+    });
+  };
+  each(phase_a);
+  if constexpr (kOwned) source.deliver_flows();
+  each(phase_b);
+  if constexpr (kOwned) {
+    // Straddled chunks' summary partials, from the final loads.
+    if (summarize) {
+      for (const std::uint32_t chunk : owned->straddled) {
         const std::size_t clo = chunk * kSummaryChunkWidth;
-        const std::size_t chi = std::min(clo + kSummaryChunkWidth, bhi);
-        const auto finalize = [&](std::size_t u) {
-          const T applied = load[u];
-          const T value = post(u, applied, snapshot[u]);
-          if constexpr (kHasPost) load[u] = value;
-          snapshot[u] = value;
-          return value;
-        };
-        if (!summarize) {
-          for (std::size_t u = clo; u < chi; ++u) finalize(u);
-          continue;
-        }
+        const std::size_t chi = std::min(clo + kSummaryChunkWidth, n);
         SummaryPartial<T> part;
-        const T first = finalize(clo);
-        summary_begin(part, first);
-        summary_accumulate(part, first, avg, mode);
-        for (std::size_t u = clo + 1; u < chi; ++u) {
-          summary_accumulate(part, finalize(u), avg, mode);
-        }
+        summary_begin(part, load[clo]);
+        for (std::size_t u = clo; u < chi; ++u) summary_accumulate(part, load[u], average, mode);
         summary_parts[chunk] = part;
       }
     }
-  };
-
-  if (parts == 1) {
-    phase_a(0);
-    phase_b(0);
-  } else {
-    const auto each = [&](const auto& phase) {
-      pool->parallel_for(0, parts, 1, [&](std::size_t first, std::size_t last) {
-        for (std::size_t p = first; p < last; ++p) phase(p);
-      });
-    };
-    each(phase_a);
-    each(phase_b);
   }
 
   fold_flow_totals(totals, stats);
@@ -476,18 +629,48 @@ void run_partitioned_round(RoundContext<T>& ctx, std::vector<T>& load,
 ///
 /// flow_fn(k, e, ℓ_u, ℓ_v) is the round's pure signed edge flow; the
 /// optional post(u, applied, before) computes each node's final value
-/// from its applied value and its round-start value (SOS's β mix) —
-/// FlowProgram's post contract.  Runs on the frame, masked or not; no CSR
-/// ledger and no per-edge flow buffer are touched.
+/// from its applied value and its round-start value (SOS's β mix).  Runs
+/// on the frame, masked or not; no CSR ledger and no per-edge flow buffer
+/// are touched.
 template <class T, class FlowFn, class PostFn = NoPostCombine>
 void run_edge_flow_round(RoundContext<T>& ctx, std::vector<T>& load,
                          util::ThreadPool* pool, StepStats& stats, FlowFn&& flow_fn,
                          PostFn&& post = {}) {
+  detail::PoolSegments pool_layout;
   if (ctx.masked()) {
-    detail::run_partitioned_round<true>(ctx, load, pool, stats, flow_fn, post);
+    detail::run_partitioned_round<true>(ctx, load, pool, stats, flow_fn, post, pool_layout);
   } else {
-    detail::run_partitioned_round<false>(ctx, load, pool, stats, flow_fn, post);
+    detail::run_partitioned_round<false>(ctx, load, pool, stats, flow_fn, post, pool_layout);
   }
+}
+
+/// The same executor on the ownership segments of `source` (shard::run's
+/// all-edges rounds): domains are the units, run concurrently on
+/// ctx.pool(); each runs its segments in ascending order.  Loads, summary
+/// and StepStats are the same bits as the pool layout's.
+template <class T, class FlowFn, class PostFn = NoPostCombine>
+void run_edge_flow_round(RoundContext<T>& ctx, std::vector<T>& load,
+                         SegmentSource<T>& source, StepStats& stats, FlowFn&& flow_fn,
+                         PostFn&& post = {}) {
+  if (ctx.masked()) {
+    detail::run_partitioned_round<true>(ctx, load, ctx.pool(), stats, flow_fn, post, source);
+  } else {
+    detail::run_partitioned_round<false>(ctx, load, ctx.pool(), stats, flow_fn, post, source);
+  }
+}
+
+/// Describes an all-edges round as a FlowProgram for the sharded engine:
+/// `flow` (the check layer's antisymmetry probe) and `run_segments`, one
+/// type-erased call per round into run_edge_flow_round with the
+/// balancer's own typed flow_fn and post.
+template <class T, class FlowFn, class PostFn = NoPostCombine>
+void plan_edge_flow_round(FlowProgram<T>& program, FlowFn flow_fn, PostFn post = {}) {
+  program.support = FlowProgram<T>::Support::kAllEdges;
+  program.flow = flow_fn;
+  program.run_segments = [flow_fn, post](RoundContext<T>& ctx, std::vector<T>& load,
+                                         SegmentSource<T>& source, StepStats& stats) {
+    run_edge_flow_round(ctx, load, source, stats, flow_fn, post);
+  };
 }
 
 }  // namespace lb::core

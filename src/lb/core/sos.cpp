@@ -98,10 +98,12 @@ bool SecondOrderScheme::plan_round(RoundContext<double>& ctx,
   }
   const double alpha = 1.0 / (static_cast<double>(frame.max_degree()) + 1.0);
   program.links = frame.num_edges();
-  program.flow = [alpha](std::size_t, const graph::Edge&, double lu, double lv) {
-    return alpha * (lu - lv);
-  };
-  program.post = begin_combine(frame.num_nodes());
+  plan_edge_flow_round(
+      program,
+      [alpha](std::size_t, const graph::Edge&, double lu, double lv) {
+        return alpha * (lu - lv);
+      },
+      begin_combine(frame.num_nodes()));
   return true;
 }
 

@@ -8,17 +8,6 @@ namespace lb::shard {
 
 namespace {
 
-/// Find-or-append the link entry for `peer`, keeping insertion cheap;
-/// links are sorted once all edges have been swept.
-HaloLink& link_for(DomainPlan& plan, std::uint32_t peer) {
-  for (HaloLink& l : plan.links) {
-    if (l.peer == peer) return l;
-  }
-  plan.links.push_back(HaloLink{});
-  plan.links.back().peer = peer;
-  return plan.links.back();
-}
-
 void sort_unique(std::vector<graph::NodeId>& v) {
   std::sort(v.begin(), v.end());
   v.erase(std::unique(v.begin(), v.end()), v.end());
@@ -30,90 +19,84 @@ HaloExchange HaloExchange::build(const graph::Graph& g, const OwnershipMap& map)
   LB_ASSERT_MSG(map.valid_for(g, map.domains(), map.policy()),
                 "ownership map was built for a different topology");
   const std::size_t K = map.domains();
-  const auto& owner = map.owners();
   const auto& edges = g.edges();
 
   HaloExchange halo;
   halo.revision_ = g.revision();
   halo.plans_.resize(K);
+  halo.segments_ = core::build_segment_layout(g, map.owners(), K);
+  core::SegmentLayout& seg = halo.segments_;
+  const std::vector<std::uint32_t>& cut = seg.segments.cut_edges;
 
-  // Owned node lists + local row index of each node within its domain.
-  std::vector<std::uint32_t> local(g.num_nodes());
+  // Links in ascending peer order, found from the remote cut edges (the
+  // ownership cut edges: every one crosses a segment boundary too).
+  constexpr std::uint32_t kNone = core::SegmentLayout::kLocal;
+  std::vector<std::uint32_t> link_of(K * K, kNone);
+  for (std::size_t c = 0; c < cut.size(); ++c) {
+    const std::uint32_t a = seg.cut_from[c];
+    const std::uint32_t b = seg.cut_to[c];
+    if (a == b) continue;
+    link_of[a * K + b] = 0;
+    link_of[b * K + a] = 0;
+  }
   for (std::size_t d = 0; d < K; ++d) {
-    halo.plans_[d].nodes = map.nodes(d);
-    const auto& nodes = halo.plans_[d].nodes;
-    for (std::size_t i = 0; i < nodes.size(); ++i) {
-      local[nodes[i]] = static_cast<std::uint32_t>(i);
+    for (std::size_t peer = 0; peer < K; ++peer) {
+      std::uint32_t& index = link_of[d * K + peer];
+      if (index == kNone) continue;
+      index = static_cast<std::uint32_t>(halo.plans_[d].links.size());
+      halo.plans_[d].links.push_back(HaloLink{});
+      halo.plans_[d].links.back().peer = static_cast<std::uint32_t>(peer);
     }
   }
 
-  // Pass 1 over the ascending edge list: owned-edge lists, link node/flow
-  // lists, and per-row incident counts for the CSR slices.
-  std::vector<std::vector<std::size_t>> row_count(K);
-  for (std::size_t d = 0; d < K; ++d) {
-    row_count[d].assign(halo.plans_[d].nodes.size(), 0);
-  }
-  for (std::size_t k = 0; k < edges.size(); ++k) {
-    const graph::Edge& e = edges[k];
-    const std::uint32_t a = owner[e.u];
-    const std::uint32_t b = owner[e.v];
-    halo.plans_[a].owned_edges.push_back(static_cast<std::uint32_t>(k));
-    ++row_count[a][local[e.u]];
-    ++row_count[b][local[e.v]];
+  // One ascending sweep of the remote cut edges: a computes flow k, so it
+  // needs v's load from b and ships the flow back.  The flow lists come
+  // out ascending, and k's flow slot is its position in b's list.
+  for (std::size_t c = 0; c < cut.size(); ++c) {
+    const std::uint32_t a = seg.cut_from[c];
+    const std::uint32_t b = seg.cut_to[c];
     if (a == b) continue;
     ++halo.cut_edges_;
-    // a computes flow k: needs v's load from b, then ships the flow back.
-    link_for(halo.plans_[a], b).recv_nodes.push_back(e.v);
-    link_for(halo.plans_[b], a).send_nodes.push_back(e.v);
-    link_for(halo.plans_[a], b).send_flow_edges.push_back(static_cast<std::uint32_t>(k));
-    link_for(halo.plans_[b], a).recv_flow_edges.push_back(static_cast<std::uint32_t>(k));
+    const std::uint32_t k = cut[c];
+    const graph::NodeId v = edges[k].v;
+    HaloLink& out = halo.plans_[a].links[link_of[a * K + b]];
+    HaloLink& in = halo.plans_[b].links[link_of[b * K + a]];
+    out.recv_nodes.push_back(v);
+    in.send_nodes.push_back(v);
+    out.send_flow_edges.push_back(k);
+    seg.flow_slot[c] = static_cast<std::uint32_t>(in.recv_flow_edges.size());
+    in.recv_flow_edges.push_back(k);
   }
 
-  // CSR slices: cursor fill in ascending edge order — each row's incident
-  // ids come out ascending, matching FlowLedger's layout.
-  for (std::size_t d = 0; d < K; ++d) {
-    DomainPlan& plan = halo.plans_[d];
-    plan.row_ptr.assign(plan.nodes.size() + 1, 0);
-    for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
-      plan.row_ptr[i + 1] = plan.row_ptr[i] + row_count[d][i];
-    }
-    plan.edge_idx.resize(plan.row_ptr.back());
-    plan.sign.resize(plan.row_ptr.back());
-  }
-  std::vector<std::vector<std::size_t>>& cursor = row_count;  // reuse as cursors
-  for (std::size_t d = 0; d < K; ++d) {
-    for (std::size_t i = 0; i < halo.plans_[d].nodes.size(); ++i) {
-      cursor[d][i] = halo.plans_[d].row_ptr[i];
-    }
-  }
-  for (std::size_t k = 0; k < edges.size(); ++k) {
-    const graph::Edge& e = edges[k];
-    const std::uint32_t a = owner[e.u];
-    const std::uint32_t b = owner[e.v];
-    DomainPlan& pa = halo.plans_[a];
-    const std::size_t pu = cursor[a][local[e.u]]++;
-    pa.edge_idx[pu] = static_cast<std::uint32_t>(k);
-    pa.sign[pu] = -1.0;  // the row's node is the edge's u
-    DomainPlan& pb = halo.plans_[b];
-    const std::size_t pv = cursor[b][local[e.v]]++;
-    pb.edge_idx[pv] = static_cast<std::uint32_t>(k);
-    pb.sign[pv] = 1.0;
-  }
-
-  // Canonical link order + deduplicated node lists.  Both endpoints of a
-  // pair run the same sort over the same underlying sets, so sender pack
-  // order == receiver unpack order.  Flow-edge lists were appended from
-  // one ascending sweep and stay as-is.
-  for (std::size_t d = 0; d < K; ++d) {
-    DomainPlan& plan = halo.plans_[d];
-    std::sort(plan.links.begin(), plan.links.end(),
-              [](const HaloLink& x, const HaloLink& y) { return x.peer < y.peer; });
+  // Canonical node lists: both endpoints of a pair run the same sort
+  // over the same set, so sender pack order == receiver unpack order.
+  // v's load slot is its position in the deduplicated list.
+  for (DomainPlan& plan : halo.plans_) {
     for (HaloLink& l : plan.links) {
       sort_unique(l.send_nodes);
       sort_unique(l.recv_nodes);
     }
   }
+  for (std::size_t c = 0; c < cut.size(); ++c) {
+    const std::uint32_t a = seg.cut_from[c];
+    const std::uint32_t b = seg.cut_to[c];
+    if (a == b) continue;
+    const std::vector<graph::NodeId>& nodes =
+        halo.plans_[a].links[link_of[a * K + b]].recv_nodes;
+    seg.load_slot[c] = static_cast<std::uint32_t>(
+        std::lower_bound(nodes.begin(), nodes.end(), edges[cut[c]].v) - nodes.begin());
+  }
   return halo;
+}
+
+std::size_t HaloExchange::owned_edges(std::size_t d) const {
+  const core::PartitionLayout& L = segments_.segments;
+  std::size_t owned = 0;
+  for (std::size_t i = segments_.unit_begin[d]; i < segments_.unit_begin[d + 1]; ++i) {
+    const std::uint32_t s = segments_.unit_segments[i];
+    owned += L.part_edges[s + 1] - L.part_edges[s];
+  }
+  return owned;
 }
 
 }  // namespace lb::shard

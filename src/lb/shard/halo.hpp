@@ -16,17 +16,19 @@
 // sender pack order and receiver unpack order agree by construction —
 // the channel is a FIFO with no per-message framing.
 //
-// Each DomainPlan also carries a CSR slice over its owned nodes that
-// replicates core::FlowLedger's layout (incident edge ids ascending per
-// row, sign −1 when the row's node is the edge's u).  The domain-local
-// apply sweep walks this slice with gather arithmetic identical to
-// FlowLedger::gather_node, which is what makes the sharded apply
-// bit-identical to the shared-memory oracle (DESIGN.md §7).
+// A domain runs its part of the round over its ownership segments
+// (core::SegmentLayout: maximal runs of consecutive owned node ids) on
+// the same edge-flow executor core::run uses (DESIGN.md §7, §9.6).  The
+// exchange carries those segments plus, per remote cut edge, the two
+// halo slots: where v's load sits in the received load payload, and
+// where k's flow sits in the received flow payload.  The build is one
+// owner scan, one edge-list scan, and O(cut) list and slot work.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "lb/core/partition_plan.hpp"
 #include "lb/graph/graph.hpp"
 #include "lb/shard/ownership.hpp"
 
@@ -47,14 +49,6 @@ struct HaloLink {
 };
 
 struct DomainPlan {
-  /// Owned nodes, ascending (== OwnershipMap::nodes(d)).
-  std::vector<graph::NodeId> nodes;
-  /// Owned edges — base ids k with owner(edges()[k].u) == d — ascending.
-  std::vector<std::uint32_t> owned_edges;
-  /// CSR over owned nodes (row i = nodes[i]), FlowLedger layout.
-  std::vector<std::size_t> row_ptr;      // nodes.size() + 1 entries
-  std::vector<std::uint32_t> edge_idx;   // incident base edge ids, ascending per row
-  std::vector<double> sign;              // -1 if the row's node is the edge's u
   /// Peers, sorted ascending by domain id.
   std::vector<HaloLink> links;
 };
@@ -63,13 +57,19 @@ class HaloExchange {
  public:
   HaloExchange() = default;
 
-  /// Build all K domain plans for (g, map).  map must have been built
-  /// for g (same revision).  Deterministic: pure function of the two.
+  /// Build all K domain plans and the ownership segments for (g, map).
+  /// map must have been built for g (same revision).  Deterministic:
+  /// pure function of the two.
   static HaloExchange build(const graph::Graph& g, const OwnershipMap& map);
 
   std::size_t domains() const { return plans_.size(); }
   const DomainPlan& plan(std::size_t d) const { return plans_[d]; }
   const std::vector<DomainPlan>& plans() const { return plans_; }
+  /// The ownership segments the executor runs, with their halo slots.
+  const core::SegmentLayout& segments() const { return segments_; }
+
+  /// Edges domain d owns (owner(e.u) == d).
+  std::size_t owned_edges(std::size_t d) const;
 
   /// Cut edges crossing any domain boundary (== map.cut_edges()).
   std::size_t cut_edges() const { return cut_edges_; }
@@ -83,6 +83,7 @@ class HaloExchange {
   std::uint64_t revision_ = 0;
   std::size_t cut_edges_ = 0;
   std::vector<DomainPlan> plans_;
+  core::SegmentLayout segments_;
 };
 
 }  // namespace lb::shard

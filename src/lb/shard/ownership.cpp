@@ -33,9 +33,10 @@ std::size_t count_cut(const graph::Graph& g, const std::vector<std::uint32_t>& o
 // node.  Ties between candidate domains break toward the lowest id.
 // Every accepted move strictly decreases the global cut, so the loop
 // terminates; the pass cap just bounds worst-case work.  The final cut
-// is therefore <= the contiguous seed's cut by construction.
-void refine(const graph::Graph& g, std::size_t domains,
-            std::vector<std::uint32_t>& owner) {
+// is therefore <= the contiguous seed's cut by construction.  Returns
+// the final cut.
+std::size_t refine(const graph::Graph& g, std::size_t domains,
+                   std::vector<std::uint32_t>& owner) {
   const std::size_t n = g.num_nodes();
   const std::size_t cap = (n + domains - 1) / domains;
   std::vector<std::size_t> size(domains, 0);
@@ -43,13 +44,29 @@ void refine(const graph::Graph& g, std::size_t domains,
 
   constexpr int kMaxPasses = 8;
   std::vector<std::size_t> tally(domains, 0);
+  // A node whose neighbours all share its domain tallies only its own
+  // domain and cannot move, so the pass skips it before the tally.  Such
+  // nodes are found in bulk: a node is flagged when a cut edge touches
+  // it at the start of the pass or a neighbour moves during it; an
+  // unflagged node is interior when the pass reaches it.
+  std::vector<std::uint8_t> boundary(n);
   for (int pass = 0; pass < kMaxPasses; ++pass) {
+    std::fill(boundary.begin(), boundary.end(), 0);
+    std::size_t cut = 0;
+    for (const graph::Edge& e : g.edges()) {
+      if (owner[e.u] == owner[e.v]) continue;
+      boundary[e.u] = 1;
+      boundary[e.v] = 1;
+      ++cut;
+    }
     bool moved = false;
     for (graph::NodeId u = 0; u < n; ++u) {
+      if (boundary[u] == 0) continue;
       const std::uint32_t from = owner[u];
       if (size[from] <= 1) continue;
+      const auto nbrs = g.neighbors(u);
       std::fill(tally.begin(), tally.end(), 0);
-      for (graph::NodeId v : g.neighbors(u)) ++tally[owner[v]];
+      for (graph::NodeId v : nbrs) ++tally[owner[v]];
       // Best destination: most neighbours, lowest id on ties, and it
       // must beat the current domain strictly (strict cut gain).
       std::uint32_t best = from;
@@ -66,9 +83,11 @@ void refine(const graph::Graph& g, std::size_t domains,
       --size[from];
       ++size[best];
       moved = true;
+      for (graph::NodeId v : nbrs) boundary[v] = 1;
     }
-    if (!moved) break;
+    if (!moved) return cut;  // the pass's starting map is the final one
   }
+  return count_cut(g, owner);
 }
 
 }  // namespace
@@ -90,33 +109,43 @@ OwnershipMap OwnershipMap::build(const graph::Graph& g, std::size_t domains,
   // Balanced contiguous blocks: the first n mod K domains get ⌈n/K⌉
   // nodes, the rest ⌊n/K⌋ — every domain nonempty whenever K <= n
   // (a plain ⌈n/K⌉ block size can starve trailing domains).
-  const auto contiguous_owner = [n, domains](std::size_t u) {
+  const auto fill_contiguous = [n, domains](std::vector<std::uint32_t>& owner) {
     const std::size_t q = n / domains;
     const std::size_t r = n % domains;
-    const std::size_t split = r * (q + 1);
-    return static_cast<std::uint32_t>(u < split ? u / (q + 1)
-                                                : r + (u - split) / q);
+    auto first = owner.begin();
+    for (std::size_t d = 0; d < domains; ++d) {
+      const auto last = first + static_cast<std::ptrdiff_t>(d < r ? q + 1 : q);
+      std::fill(first, last, static_cast<std::uint32_t>(d));
+      first = last;
+    }
   };
   switch (policy) {
     case PartitionPolicy::kContiguous:
-      for (std::size_t u = 0; u < n; ++u) map.owner_[u] = contiguous_owner(u);
+      fill_contiguous(map.owner_);
+      map.cut_edges_ = count_cut(g, map.owner_);
       break;
     case PartitionPolicy::kStrided:
       for (std::size_t u = 0; u < n; ++u) {
         map.owner_[u] = static_cast<std::uint32_t>(u % domains);
       }
+      map.cut_edges_ = count_cut(g, map.owner_);
       break;
     case PartitionPolicy::kGreedyEdgeCut:
-      for (std::size_t u = 0; u < n; ++u) map.owner_[u] = contiguous_owner(u);
-      refine(g, domains, map.owner_);
+      fill_contiguous(map.owner_);
+      map.cut_edges_ = refine(g, domains, map.owner_);
       break;
   }
 
+  // Owned node lists: sized by one counting pass, filled by a second.
+  std::vector<std::size_t> count(domains, 0);
+  for (const std::uint32_t d : map.owner_) ++count[d];
   map.nodes_.resize(domains);
-  for (graph::NodeId u = 0; u < n; ++u) {
-    map.nodes_[map.owner_[u]].push_back(u);
+  for (std::size_t d = 0; d < domains; ++d) map.nodes_[d].resize(count[d]);
+  std::fill(count.begin(), count.end(), 0);
+  for (std::size_t u = 0; u < n; ++u) {
+    const std::uint32_t d = map.owner_[u];
+    map.nodes_[d][count[d]++] = static_cast<graph::NodeId>(u);
   }
-  map.cut_edges_ = count_cut(g, map.owner_);
   return map;
 }
 

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 
 #include "lb/check/invariants.hpp"
-#include "lb/core/flow_ledger.hpp"
 #include "lb/core/flow_program.hpp"
 #include "lb/core/load.hpp"
 #include "lb/core/metrics.hpp"
@@ -35,21 +35,24 @@ void for_each_domain(util::ThreadPool* pool, std::size_t domains, Fn&& fn) {
 
 /// Per-run sharded state: the ownership/halo tables (rebuilt when the
 /// base topology epoch moves — mask churn never rebuilds), the comm
-/// engine (lives for the whole run; totals are cumulative), and per-
-/// domain scratch.
+/// engine (lives for the whole run; totals are cumulative), and the halo
+/// side of the all-edges round, which the edge-flow executor drives
+/// through the core::SegmentSource hooks.
 template <class T>
-struct Runtime {
+struct Runtime final : core::SegmentSource<T> {
   Runtime(std::size_t domains, const ShardConfig& cfg) : comm(domains), prev(domains) {
     comm.set_default_link(cfg.default_link);
     for (const LinkOverride& o : cfg.link_overrides) {
       comm.set_link(o.from, o.to, o.config);
     }
-    halo_load.resize(domains);
-    node_buf.resize(domains);
-    flow_buf.resize(domains);
     local_pairs.resize(domains);
     remote_out.resize(domains);
     remote_in.resize(domains);
+    loads_in.resize(domains * row_stride());
+    flows_out.resize(domains * row_stride());
+    flows_end.resize(domains * row_stride());
+    flows_in.resize(domains * row_stride());
+    expanded.resize(domains);
   }
 
   /// Returns true when the tables were rebuilt for a new base epoch, so
@@ -59,160 +62,119 @@ struct Runtime {
     if (map.valid_for(base, cfg.domains, cfg.policy)) return false;
     map = OwnershipMap::build(base, cfg.domains, cfg.policy);
     halo = HaloExchange::build(base, map);
-    for (std::vector<T>& h : halo_load) h.assign(base.num_nodes(), T{});
-    // Allocation audit (DESIGN.md §9): size the pack/unpack scratch to the
-    // largest link payload now, so the per-round clear()/push_back cycles
-    // never grow a buffer mid-run.
-    for (std::size_t d = 0; d < halo_load.size(); ++d) {
-      std::size_t max_nodes = 0, max_flows = 0;
-      for (const HaloLink& l : halo.plan(d).links) {
-        max_nodes = std::max({max_nodes, l.send_nodes.size(), l.recv_nodes.size()});
-        max_flows =
-            std::max({max_flows, l.send_flow_edges.size(), l.recv_flow_edges.size()});
-      }
-      node_buf[d].reserve(max_nodes);
-      flow_buf[d].reserve(max_flows);
+    // Allocation audit (DESIGN.md §9): masked rounds expand each flow
+    // inbox to its slot layout here, sized once per epoch.
+    for (std::size_t d = 0; d < expanded.size(); ++d) {
+      std::size_t slots = 0;
+      for (const HaloLink& l : halo.plan(d).links) slots += l.recv_flow_edges.size();
+      expanded[d].assign(slots, 0.0);
     }
     return true;
+  }
+
+  /// Node-load superstep, domain d's half: its boundary nodes' round-start
+  /// loads, packed straight into each link's payload.  Node halos are a
+  /// function of the topology alone (not of the round's mask): a dead
+  /// boundary edge still carries its endpoint load, keeping the payload
+  /// schedule deterministic per topology epoch.
+  void send_loads(std::size_t d, const std::vector<T>& load) {
+    for (const HaloLink& l : halo.plan(d).links) {
+      std::byte* out = comm.stage<T>(d, l.peer, l.send_nodes.size());
+      for (std::size_t i = 0; i < l.send_nodes.size(); ++i) {
+        std::memcpy(out + i * sizeof(T), &load[l.send_nodes[i]], sizeof(T));
+      }
+    }
+  }
+
+  /// Per-domain rows of the peer tables, a cache line apart: phase A
+  /// advances its flow cursors once per remote cut edge.
+  std::size_t row_stride() const { return comm.domains() + 8; }
+
+  std::size_t alive_count(const std::vector<std::uint32_t>& edges) const {
+    if (!frame->masked()) return edges.size();
+    return static_cast<std::size_t>(std::count_if(
+        edges.begin(), edges.end(), [this](std::uint32_t k) { return frame->alive(k); }));
+  }
+
+  const core::SegmentLayout& layout() const override { return halo.segments(); }
+
+  core::DomainHalo open_phase_a(std::size_t d) override {
+    const std::size_t row = d * row_stride();
+    for (const HaloLink& l : halo.plan(d).links) {
+      loads_in[row + l.peer] = comm.take<T>(l.peer, d, l.recv_nodes.size());
+      const std::size_t count = alive_count(l.send_flow_edges);
+      flows_out[row + l.peer] = comm.stage<double>(d, l.peer, count);
+      flows_end[row + l.peer] = flows_out[row + l.peer] + count * sizeof(double);
+    }
+    return {loads_in.data() + row, flows_out.data() + row};
+  }
+
+  void deliver_flows() override {
+    // Phase A must have filled every outgoing payload exactly.
+    for (std::size_t d = 0; d < map.domains(); ++d) {
+      const std::size_t row = d * row_stride();
+      for (const HaloLink& l : halo.plan(d).links) {
+        LB_ASSERT_MSG(flows_out[row + l.peer] == flows_end[row + l.peer],
+                      "sharded round packed a flow payload short or long");
+      }
+    }
+    comm.deliver();
+  }
+
+  const std::byte* const* open_phase_b(std::size_t d) override {
+    const std::size_t row = d * row_stride();
+    double* slots = expanded[d].data();
+    for (const HaloLink& l : halo.plan(d).links) {
+      const std::byte* in = comm.take<double>(l.peer, d, alive_count(l.recv_flow_edges));
+      if (frame->masked()) {
+        // Dead edges ship nothing: spread the payload over the slots.
+        std::size_t j = 0;
+        for (std::size_t i = 0; i < l.recv_flow_edges.size(); ++i) {
+          slots[i] = frame->alive(l.recv_flow_edges[i]) ? core::payload_at<double>(in, j++) : 0.0;
+        }
+        in = reinterpret_cast<const std::byte*>(slots);
+        slots += l.recv_flow_edges.size();
+      }
+      flows_in[row + l.peer] = in;
+    }
+    return flows_in.data() + row;
   }
 
   OwnershipMap map;
   HaloExchange halo;
   sim::CommEngine comm;
   std::vector<sim::CommTotals> prev;           // totals at last round boundary
-  std::vector<std::vector<T>> halo_load;       // per domain: remote loads by node id
-  std::vector<std::vector<T>> node_buf;        // per domain pack/unpack scratch
-  std::vector<std::vector<double>> flow_buf;   // per domain flow payload scratch
+  const graph::TopologyFrame* frame = nullptr;  // the round being run
+  // Per domain × peer (rows of row_stride()): received loads, outgoing
+  // flow cursors, received flows; domain d's row is written only by d.
+  std::vector<const std::byte*> loads_in;
+  std::vector<std::byte*> flows_out;
+  std::vector<std::byte*> flows_end;   // where each outgoing payload ends
+  std::vector<const std::byte*> flows_in;
+  std::vector<std::vector<double>> expanded;   // per domain: masked flow slots
   // kMatching per-round work lists (rebuilt each matching round).
   std::vector<std::vector<std::uint32_t>> local_pairs;
   std::vector<std::vector<std::uint32_t>> remote_out;  // this domain owns e.u
   std::vector<std::vector<std::uint32_t>> remote_in;   // this domain owns e.v
 };
 
-/// One kAllEdges round: the halo protocol around the standard
-/// compute-flows / gather-apply round shape.
+/// One kAllEdges round: the node-load superstep, then the program's
+/// round on the ownership segments — phase A (outgoing cut flows, remote
+/// ones from the halo and into the flow payloads), the flow superstep,
+/// phase B (incoming cut flows, the fused sweep) — on the same executor
+/// core::run uses.
 template <class T>
 core::StepStats step_all_edges(core::RoundContext<T>& ctx,
                                const core::FlowProgram<T>& program,
-                               std::vector<T>& load, Runtime<T>& rt,
-                               util::ThreadPool* pool) {
-  const graph::TopologyFrame& frame = ctx.frame();
-  const auto& edges = frame.base().edges();
-  const bool masked = frame.masked();
-  const std::size_t K = rt.map.domains();
-  const auto& owner = rt.map.owners();
-  std::vector<double>& flows = ctx.arena().flows();
-  flows.resize(edges.size());
-
+                               std::vector<T>& load, Runtime<T>& rt) {
   core::StepStats stats;
   stats.links = program.links;
-
-  // Phase A: every domain ships its boundary nodes' round-start loads.
-  // Node halos are a function of the topology alone (not of the round's
-  // mask): a dead boundary edge still carries its endpoint load, keeping
-  // the payload schedule deterministic per topology epoch.
-  for_each_domain(pool, K, [&](std::size_t d) {
-    const DomainPlan& plan = rt.halo.plan(d);
-    std::vector<T>& buf = rt.node_buf[d];
-    for (const HaloLink& l : plan.links) {
-      if (l.send_nodes.empty()) continue;
-      buf.clear();
-      for (graph::NodeId v : l.send_nodes) buf.push_back(load[v]);
-      rt.comm.send(d, l.peer, buf.data(), buf.size());
-    }
-  });
+  rt.frame = &ctx.frame();
+  // The packs are O(boundary) copies: cheaper in one loop than a pool
+  // dispatch.
+  for (std::size_t d = 0; d < rt.map.domains(); ++d) rt.send_loads(d, load);
   rt.comm.deliver();
-
-  // Phase B: unpack halos, compute owned-edge flows from (local load,
-  // halo copy) pairs, ship boundary flows back.  Edge k's slot is written
-  // exclusively by owner(edges[k].u), so the shared flow vector needs no
-  // synchronization beyond the phase barriers.
-  for_each_domain(pool, K, [&](std::size_t d) {
-    const DomainPlan& plan = rt.halo.plan(d);
-    std::vector<T>& halo = rt.halo_load[d];
-    std::vector<T>& buf = rt.node_buf[d];
-    for (const HaloLink& l : plan.links) {
-      if (l.recv_nodes.empty()) continue;
-      buf.resize(l.recv_nodes.size());
-      rt.comm.recv(l.peer, d, buf.data(), buf.size());
-      for (std::size_t i = 0; i < l.recv_nodes.size(); ++i) {
-        halo[l.recv_nodes[i]] = buf[i];
-      }
-    }
-    for (const std::uint32_t k : plan.owned_edges) {
-      if (masked && !frame.alive(k)) continue;
-      const graph::Edge& e = edges[k];
-      const T lv = owner[e.v] == static_cast<std::uint32_t>(d) ? load[e.v]
-                                                               : halo[e.v];
-      flows[k] = program.flow(k, e, static_cast<double>(load[e.u]),
-                              static_cast<double>(lv));
-    }
-    std::vector<double>& fbuf = rt.flow_buf[d];
-    for (const HaloLink& l : plan.links) {
-      fbuf.clear();
-      for (const std::uint32_t k : l.send_flow_edges) {
-        if (masked && !frame.alive(k)) continue;
-        fbuf.push_back(flows[k]);
-      }
-      if (!fbuf.empty()) rt.comm.send(d, l.peer, fbuf.data(), fbuf.size());
-    }
-  });
-  rt.comm.deliver();
-
-  // Round totals at the barrier: the source-chunk fold every shared-memory
-  // executor uses (flow_ledger.hpp), so StepStats cannot depend on the
-  // domain split.
-  core::RunArena<T>& arena = ctx.arena();
-  core::accumulate_flow_totals<T>(frame, arena.partition_plan(frame.base(), 1).layout(),
-                                  flows, pool, arena.flow_totals(), stats);
-
-  // Phase C1: unpack received boundary flows.  A separate phase from the
-  // gathers below so no domain reads a slot another is still writing.
-  for_each_domain(pool, K, [&](std::size_t d) {
-    const DomainPlan& plan = rt.halo.plan(d);
-    std::vector<double>& fbuf = rt.flow_buf[d];
-    for (const HaloLink& l : plan.links) {
-      std::size_t count = 0;
-      for (const std::uint32_t k : l.recv_flow_edges) {
-        if (masked && !frame.alive(k)) continue;
-        ++count;
-      }
-      if (count == 0) continue;
-      fbuf.resize(count);
-      rt.comm.recv(l.peer, d, fbuf.data(), count);
-      std::size_t i = 0;
-      for (const std::uint32_t k : l.recv_flow_edges) {
-        if (masked && !frame.alive(k)) continue;
-        flows[k] = fbuf[i++];
-      }
-    }
-  });
-
-  // Phase C2: domain-local apply sweeps.  Each owned node's row walk is
-  // FlowLedger::gather_node verbatim with dead edges skipped — ascending
-  // incident base edges, identical skip/cast/accumulate rules — so the
-  // loads land bit for bit on the oracle's.
-  for_each_domain(pool, K, [&](std::size_t d) {
-    const DomainPlan& plan = rt.halo.plan(d);
-    for (std::size_t i = 0; i < plan.nodes.size(); ++i) {
-      const graph::NodeId u = plan.nodes[i];
-      const T before = load[u];
-      T value = before;
-      const std::size_t row_end = plan.row_ptr[i + 1];
-      for (std::size_t p = plan.row_ptr[i]; p < row_end; ++p) {
-        const std::uint32_t k = plan.edge_idx[p];
-        if (masked && !frame.alive(k)) continue;  // dead slot: may be stale
-        const double f = flows[k];
-        if (f == 0.0) continue;
-        if constexpr (std::is_integral_v<T>) {
-          value += static_cast<T>(plan.sign[p] * f);
-        } else {
-          value += static_cast<T>(plan.sign[p]) * static_cast<T>(f);
-        }
-      }
-      load[u] = program.post ? program.post(u, value, before) : value;
-    }
-  });
+  program.run_segments(ctx, load, rt, stats);
   return stats;
 }
 
@@ -373,7 +335,7 @@ core::RunResult run(core::Balancer<T>& balancer, graph::GraphSequence& seq,
   core::FlowProgram<T> program;
 
   // Invariant checking (DESIGN.md §8): the sharded engine carries the
-  // full catalog — conservation, halo mirrors, domain-plan CSR, flow
+  // full catalog — conservation, halo mirrors, domain segments, flow
   // antisymmetry, and comm accounting.  Checks only read engine state.
   const bool checking = config.check_invariants || check::env_enabled();
   check::ConservationBaseline<T> baseline;
@@ -459,8 +421,10 @@ core::RunResult run(core::Balancer<T>& balancer, graph::GraphSequence& seq,
       // Fresh ownership/halo tables: prove the routing invariants once
       // per base epoch, before any round executes against them.
       check::check_halo_mirrors(rt.halo);
+      check::check_partition_plan(rt.halo.segments().segments, frame.base(),
+                                  /*chunk_aligned=*/false);
       for (std::size_t d = 0; d < shard.domains; ++d) {
-        check::check_domain_plan(frame.base(), rt.map.owners(), d, rt.halo.plan(d));
+        check::check_domain_plan(frame.base(), rt.map.owners(), d, rt.halo);
       }
     }
 
@@ -507,6 +471,8 @@ core::RunResult run(core::Balancer<T>& balancer, graph::GraphSequence& seq,
     if (planned) {
       LB_ASSERT_MSG(program.flow != nullptr, "planned round without a flow function");
       const bool matching = program.support == core::FlowProgram<T>::Support::kMatching;
+      LB_ASSERT_MSG(matching || program.run_segments != nullptr,
+                    "planned all-edges round without a segment round");
       std::vector<sim::CommTotals> before;
       std::vector<check::RoundCommExpectation> expected;
       if (checking) {
@@ -520,12 +486,14 @@ core::RunResult run(core::Balancer<T>& balancer, graph::GraphSequence& seq,
                              rt.map.owners(), shard.domains)
                        : check::expected_all_edges_round_comm<T>(rt.halo.plans(), frame);
       }
-      stats = matching ? step_matching(ctx, program, load, rt, pool)
-                       : step_all_edges(ctx, program, load, rt, pool);
-      // The sharded kernels mutate `load` without going through the
-      // blocked round, so a later shared-memory step() in this loop must
-      // not trust the arena's snapshot cache.
-      arena.invalidate_snapshot();
+      if (matching) {
+        stats = step_matching(ctx, program, load, rt, pool);
+        // The matching kernel mutates `load` outside the edge-flow
+        // executor, so its snapshot cache is stale.
+        arena.invalidate_snapshot();
+      } else {
+        stats = step_all_edges(ctx, program, load, rt);
+      }
       if (checking) {
         const std::vector<sim::CommTotals> after = snapshot_totals();
         check::check_comm_accounting(expected, before, after, round);

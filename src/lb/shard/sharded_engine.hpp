@@ -3,22 +3,25 @@
 // shared-memory engine (core/engine.hpp) on the same inputs.
 //
 // Each round, a distributable balancer describes itself as a
-// core::FlowProgram (plan_round); the engine then executes the round as
-// each domain's independent half — pack boundary loads, exchange, compute
-// owned-edge flows from halo copies, exchange, apply domain-local gather
-// sweeps — reconciling at deterministic sim::CommEngine barriers.
-// Balancers that cannot be distributed (async, random-partner, ...) fall
-// back to their shared-memory step() for that round, still inside the
-// sharded run loop, so every balancer remains runnable at any K.
+// core::FlowProgram (plan_round).  An all-edges round then runs on the
+// same partitioned fused executor core::run uses, over the domains'
+// ownership segments instead of the pool layout: domains run
+// concurrently on the pool, each computing its outgoing cut flows from
+// its own loads and halo payloads read in place, then applying incoming
+// cut flows and sweeping its segments — reconciling at deterministic
+// sim::CommEngine barriers.  Matching rounds (dimension exchange) run a
+// three-superstep kernel of their own.  Balancers that cannot be
+// distributed (async, random-partner, ...) fall back to their
+// shared-memory step() for that round, still inside the sharded run
+// loop, so every balancer remains runnable at any K.
 //
 // Why the results match bit for bit (DESIGN.md §7 has the full argument):
 // flows are pure functions of (edge, endpoint round-start loads) and halo
 // copies are bytewise verbatim, so owner-computed flows equal the
-// oracle's; each domain's apply walks its nodes' incident edges in
-// ascending base order with FlowLedger's exact gather arithmetic; and
-// round observability (StepStats totals, Φ/discrepancy summaries) is
-// computed centrally at the barrier through the same deterministic
-// reductions the shared-memory engine uses.
+// oracle's; every node receives its updates in ascending edge order,
+// exactly as in the executor's pool layout; and round observability
+// (StepStats totals, Φ/discrepancy summaries) is the same fixed-chunk
+// fold, with chunks that straddle segments folded outside the sweep.
 #pragma once
 
 #include <vector>

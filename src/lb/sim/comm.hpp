@@ -85,6 +85,37 @@ class CommEngine {
     ch.cursor += count * sizeof(V);
   }
 
+  /// Zero-copy send: stage `count` values of V on the from→to link and
+  /// return the bytes to fill (std::memcpy, value i at i·sizeof(V));
+  /// nullptr when count == 0, which sends nothing.  Valid until the next
+  /// send or stage on that link or the next deliver().  Same concurrency
+  /// rule as send().
+  template <class V>
+  std::byte* stage(std::size_t from, std::size_t to, std::size_t count) {
+    static_assert(std::is_trivially_copyable_v<V>);
+    if (count == 0) return nullptr;
+    std::vector<std::byte>& staged = channel(from, to).staged;
+    const std::size_t offset = staged.size();
+    staged.resize(offset + count * sizeof(V));
+    return staged.data() + offset;
+  }
+
+  /// Zero-copy recv: the bytes of the next `count` values of V in the
+  /// from→to inbox, to be read in place (std::memcpy), advancing the read
+  /// cursor as recv() does; nullptr when count == 0.  Valid until the
+  /// next deliver().  Same concurrency rule as recv().
+  template <class V>
+  const std::byte* take(std::size_t from, std::size_t to, std::size_t count) {
+    static_assert(std::is_trivially_copyable_v<V>);
+    if (count == 0) return nullptr;
+    Channel& ch = channel(from, to);
+    LB_ASSERT_MSG(ch.cursor + count * sizeof(V) <= ch.inbox.size(),
+                  "comm take overruns the channel inbox");
+    const std::byte* out = ch.inbox.data() + ch.cursor;
+    ch.cursor += count * sizeof(V);
+    return out;
+  }
+
   /// Superstep barrier: everything staged becomes readable, previous
   /// inboxes are discarded, and the modeled accounting is updated.
   /// Single-threaded by contract (the sharded engine calls it between

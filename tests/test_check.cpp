@@ -140,8 +140,7 @@ TEST(CheckCleanTest, LiveStructuresPass) {
   const HaloExchange halo = HaloExchange::build(g, map);
   EXPECT_NO_THROW(lb::check::check_halo_mirrors(halo));
   for (std::size_t d = 0; d < halo.domains(); ++d) {
-    EXPECT_NO_THROW(
-        lb::check::check_domain_plan(g, map.owners(), d, halo.plan(d)));
+    EXPECT_NO_THROW(lb::check::check_domain_plan(g, map.owners(), d, halo));
   }
 
   lb::core::FlowLedger ledger;
@@ -277,20 +276,70 @@ TEST(CheckMutationTest, MismatchedHaloEntryDetected) {
       "halo mirror");
 }
 
-// ------------------------------------------------- CSR / orientation sign
+// ------------------------------------------ domain plans / CSR orientation
 
-TEST(CheckMutationTest, FlippedOrientationSignDetectedInPlan) {
-  const Graph g = lb::graph::make_torus2d(6, 6);
+// A domain's segment tables: a segment listed under the wrong domain (the
+// segments no longer cover its nodes), a remote cut edge's load slot
+// pointing at another node, its flow slot at another edge, and a segment's
+// incoming list out of order or missing an edge each trip a "domain plan"
+// diagnostic.  Greedy on an Erdős–Rényi graph gives many short segments.
+TEST(CheckMutationTest, DomainPlanMutationsDetected) {
+  lb::util::Rng rng(5);
+  const Graph g = lb::graph::make_erdos_renyi(300, 0.05, rng);
   const OwnershipMap map =
-      OwnershipMap::build(g, 4, lb::shard::PartitionPolicy::kContiguous);
+      OwnershipMap::build(g, 3, lb::shard::PartitionPolicy::kGreedyEdgeCut);
   const HaloExchange halo = HaloExchange::build(g, map);
-  lb::shard::DomainPlan plan = halo.plan(0);  // mutable copy
-  ASSERT_FALSE(plan.sign.empty());
-  plan.sign[0] = -plan.sign[0];
-  expect_named(violation_message([&] {
-                 lb::check::check_domain_plan(g, map.owners(), 0, plan);
-               }),
-               "csr");
+  const lb::core::SegmentLayout& clean = halo.segments();
+  const lb::core::PartitionLayout& L = clean.segments;
+  const auto plans = halo.plans();
+  for (std::size_t d = 0; d < 3; ++d) {
+    EXPECT_NO_THROW(lb::check::check_domain_plan(g, map.owners(), d, clean, plans));
+  }
+  const auto detected = [&](const lb::core::SegmentLayout& segs, std::size_t d) {
+    expect_named(violation_message([&] {
+                   lb::check::check_domain_plan(g, map.owners(), d, segs, plans);
+                 }),
+                 "domain plan");
+  };
+
+  // Rule 1: the segments cover exactly map.nodes(d).
+  auto moved = clean;  // domain 0's last segment is listed under domain 1
+  moved.unit_begin[1] -= 1;
+  detected(moved, 0);
+
+  // Rule 2: every remote cut edge's slots point at its v and its id.
+  std::size_t remote = L.cut_edges.size();
+  for (std::size_t c = 0; c < L.cut_edges.size(); ++c) {
+    if (clean.cut_from[c] != clean.cut_to[c]) {
+      remote = c;
+      break;
+    }
+  }
+  ASSERT_LT(remote, L.cut_edges.size());
+  const std::size_t from = clean.cut_from[remote];
+  auto load_slot = clean;
+  load_slot.load_slot[remote] += 1;
+  detected(load_slot, from);
+  auto flow_slot = clean;
+  flow_slot.flow_slot[remote] += 1;
+  detected(flow_slot, from);
+
+  // Rule 3: each segment's incoming list is exactly its cut edges, ascending.
+  std::size_t seg = L.parts();
+  for (std::size_t s = 0; s < L.parts(); ++s) {
+    if (L.in_begin[s + 1] - L.in_begin[s] >= 2) {
+      seg = s;
+      break;
+    }
+  }
+  ASSERT_LT(seg, L.parts());
+  auto unordered = clean;
+  std::swap(unordered.segments.incoming[L.in_begin[seg]],
+            unordered.segments.incoming[L.in_begin[seg] + 1]);
+  detected(unordered, clean.owner[seg]);
+  auto dropped = clean;
+  dropped.segments.in_begin[seg + 1] -= 1;
+  detected(dropped, clean.owner[seg]);
 }
 
 TEST(CheckMutationTest, FlippedOrientationSignDetectedInLedger) {

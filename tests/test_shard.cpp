@@ -11,6 +11,7 @@
 #include <numeric>
 #include <vector>
 
+#include "lb/check/invariants.hpp"
 #include "lb/core/diffusion.hpp"
 #include "lb/core/dimension_exchange.hpp"
 #include "lb/core/engine.hpp"
@@ -26,6 +27,7 @@
 #include "lb/util/rng.hpp"
 #include "lb/util/thread_pool.hpp"
 #include "lb/workload/initial.hpp"
+#include "lb/workload/stream.hpp"
 
 namespace {
 
@@ -109,7 +111,7 @@ TEST(HaloTest, LinkListsMirrorBetweenPeers) {
 
   std::size_t owned_total = 0;
   for (std::size_t d = 0; d < 4; ++d) {
-    owned_total += halo.plan(d).owned_edges.size();
+    owned_total += halo.owned_edges(d);
     for (const lb::shard::HaloLink& l : halo.plan(d).links) {
       // Find the reverse link and check every list mirrors exactly —
       // same node ids, same order (the FIFO-correctness invariant).
@@ -440,6 +442,213 @@ TEST(ShardEngineTest, ModeledLinkCostsAreDeterministic) {
   }
   // The straggler link 0→1 must show up in domain 1's modeled wait.
   EXPECT_GT(a.domain_comm[1].halo_wait_us, a.domain_comm[2].halo_wait_us);
+}
+
+// -------------------------------------------------- ownership segments
+//
+// The sharded round runs the edge-flow executor over ownership segments
+// (maximal runs of consecutive ids one domain owns).  On graphs with
+// n > 1024 whose segment boundaries fall off the 1024-node chunk grid,
+// chunks straddle segments — possibly of different domains — and get
+// their summary and StepStats partials outside the sweep.
+
+/// The greedy refine before its interior-node skip, verbatim: the
+/// reference the production build must reproduce map for map.
+std::vector<std::uint32_t> reference_greedy(const Graph& g, std::size_t domains) {
+  const std::size_t n = g.num_nodes();
+  std::vector<std::uint32_t> owner(n);
+  const std::size_t q = n / domains;
+  const std::size_t r = n % domains;
+  const std::size_t split = r * (q + 1);
+  for (std::size_t u = 0; u < n; ++u) {
+    owner[u] = static_cast<std::uint32_t>(u < split ? u / (q + 1) : r + (u - split) / q);
+  }
+  const std::size_t cap = (n + domains - 1) / domains;
+  std::vector<std::size_t> size(domains, 0);
+  for (std::uint32_t d : owner) ++size[d];
+  std::vector<std::size_t> tally(domains, 0);
+  for (int pass = 0; pass < 8; ++pass) {
+    bool moved = false;
+    for (lb::graph::NodeId u = 0; u < n; ++u) {
+      const std::uint32_t from = owner[u];
+      if (size[from] <= 1) continue;
+      std::fill(tally.begin(), tally.end(), 0);
+      for (lb::graph::NodeId v : g.neighbors(u)) ++tally[owner[v]];
+      std::uint32_t best = from;
+      std::size_t best_tally = tally[from];
+      for (std::uint32_t d = 0; d < domains; ++d) {
+        if (d == from || size[d] >= cap) continue;
+        if (tally[d] > best_tally) {
+          best = d;
+          best_tally = tally[d];
+        }
+      }
+      if (best == from) continue;
+      owner[u] = best;
+      --size[from];
+      ++size[best];
+      moved = true;
+    }
+    if (!moved) break;
+  }
+  return owner;
+}
+
+TEST(OwnershipTest, GreedyMatchesReferenceRefine) {
+  lb::util::Rng rng(31);
+  const std::vector<Graph> graphs = {
+      lb::graph::make_torus2d(16, 16), lb::graph::make_torus2d(75, 61),
+      lb::graph::make_hypercube(8), lb::graph::make_erdos_renyi(500, 0.02, rng),
+      lb::graph::make_torus2d(7, 9), lb::graph::make_erdos_renyi(301, 0.03, rng)};
+  for (const Graph& g : graphs) {
+    for (const std::size_t k : {2, 3, 4, 8}) {
+      const OwnershipMap map = OwnershipMap::build(g, k, PartitionPolicy::kGreedyEdgeCut);
+      const std::vector<std::uint32_t> ref = reference_greedy(g, k);
+      EXPECT_EQ(map.owners(), ref) << g.name() << " K=" << k;
+      std::size_t cut = 0;
+      for (const lb::graph::Edge& e : g.edges()) cut += ref[e.u] != ref[e.v] ? 1 : 0;
+      EXPECT_EQ(map.cut_edges(), cut) << g.name() << " K=" << k;
+    }
+  }
+}
+
+struct SegmentGraph {
+  std::string name;
+  Graph g;
+  PartitionPolicy policy;
+};
+
+/// Graphs whose segment boundaries straddle chunks: contiguous blocks of
+/// 1525 nodes, one-node strided segments, and greedy's fragmented runs.
+std::vector<SegmentGraph> segment_graphs() {
+  lb::util::Rng rng(41);
+  return {{"torus75x61/contiguous", lb::graph::make_torus2d(75, 61),
+           PartitionPolicy::kContiguous},
+          {"torus75x61/strided", lb::graph::make_torus2d(75, 61), PartitionPolicy::kStrided},
+          {"er3000/greedy", lb::graph::make_erdos_renyi(3000, 0.002, rng),
+           PartitionPolicy::kGreedyEdgeCut}};
+}
+
+/// shard::run against core::run over pools {1, 2, hw} and K ∈ {1, 2, 3,
+/// 4, 8}: loads, every traced round's Φ, discrepancy, transferred and
+/// active_edges bit-equal, and every round's messages and boundary bytes
+/// equal to expected_all_edges_round_comm on that round's frame.
+template <class T>
+void run_segment_matrix(const SegmentGraph& sg,
+                        const std::function<std::unique_ptr<lb::core::Balancer<T>>()>& make,
+                        const std::function<std::unique_ptr<lb::graph::GraphSequence>()>& seq,
+                        const std::vector<T>& load0, const lb::workload::StreamSpec* spec,
+                        const std::string& label) {
+  EngineConfig cfg;
+  cfg.max_rounds = 10;
+  cfg.target_potential = 0.0;
+  cfg.record_trace = true;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{0}}) {
+    lb::util::ThreadPool pool(threads);
+    cfg.pool = &pool;
+    std::unique_ptr<lb::workload::Stream<T>> oracle_stream;
+    if (spec != nullptr) {
+      oracle_stream = lb::workload::make_stream<T>(*spec, load0.size(), 77);
+      cfg.stream = oracle_stream.get();
+    }
+    auto oracle_alg = make();
+    auto oracle_seq = seq();
+    std::vector<T> oracle_load = load0;
+    const RunResult oracle = lb::core::run(*oracle_alg, *oracle_seq, oracle_load, cfg);
+    for (const std::size_t k : {1, 2, 3, 4, 8}) {
+      const std::string leg = label + "/" + sg.name + "/pool" +
+                              std::to_string(pool.size()) + "/k" + std::to_string(k);
+      SCOPED_TRACE(leg);
+      ShardConfig shard;
+      shard.domains = k;
+      shard.policy = sg.policy;
+      std::unique_ptr<lb::workload::Stream<T>> stream;
+      EngineConfig leg_cfg = cfg;
+      if (spec != nullptr) {
+        stream = lb::workload::make_stream<T>(*spec, load0.size(), 77);
+        leg_cfg.stream = stream.get();
+      }
+      auto alg = make();
+      auto s = seq();
+      std::vector<T> load = load0;
+      const RunResult run = lb::shard::run(*alg, *s, load, leg_cfg, shard);
+      expect_identical(oracle, run, leg);
+      EXPECT_TRUE(load == oracle_load);
+      EXPECT_EQ(run.sharded_rounds, run.rounds);
+      EXPECT_EQ(oracle.stream_arrivals, run.stream_arrivals);
+
+      auto frames = seq();
+      const OwnershipMap map = OwnershipMap::build(sg.g, k, sg.policy);
+      const lb::shard::HaloExchange halo = lb::shard::HaloExchange::build(sg.g, map);
+      ASSERT_EQ(run.trace.size(), run.rounds);
+      for (std::size_t r = 1; r <= run.rounds; ++r) {
+        const auto expected =
+            lb::check::expected_all_edges_round_comm<T>(halo.plans(), frames->frame_at(r));
+        std::uint64_t messages = 0, bytes = 0;
+        for (const auto& e : expected) {
+          messages += e.messages;
+          bytes += e.bytes;
+        }
+        EXPECT_EQ(run.trace[r - 1].messages, messages) << "round " << r;
+        EXPECT_EQ(run.trace[r - 1].boundary_bytes, bytes) << "round " << r;
+      }
+    }
+  }
+}
+
+TEST(ShardSegments, StraddledChunksBitIdenticalRealAndTokens) {
+  for (const SegmentGraph& sg : segment_graphs()) {
+    const std::size_t n = sg.g.num_nodes();
+    lb::util::Rng wrng(43);
+    const auto real0 = lb::workload::bimodal<double>(n, 1000.0 * static_cast<double>(n), wrng);
+    const auto tokens0 = lb::workload::uniform_random<std::int64_t>(
+        n, static_cast<std::int64_t>(1000 * n), wrng);
+    const auto seq = [&] { return lb::graph::make_static_sequence(sg.g); };
+    run_segment_matrix<double>(
+        sg, [] { return lb::core::make_diffusion_continuous(); }, seq, real0, nullptr,
+        "static/diffusion-cont");
+    run_segment_matrix<double>(
+        sg, [] { return lb::core::make_sos(1.5); }, seq, real0, nullptr, "static/sos");
+    run_segment_matrix<std::int64_t>(
+        sg, [] { return lb::core::make_diffusion_discrete(); }, seq, tokens0, nullptr,
+        "static/diffusion-disc");
+  }
+}
+
+TEST(ShardSegments, StraddledChunksBitIdenticalUnderMaskChurn) {
+  for (const SegmentGraph& sg : segment_graphs()) {
+    const std::size_t n = sg.g.num_nodes();
+    lb::util::Rng wrng(47);
+    const auto real0 = lb::workload::bimodal<double>(n, 1000.0 * static_cast<double>(n), wrng);
+    const auto tokens0 = lb::workload::spike<std::int64_t>(n, static_cast<std::int64_t>(1000 * n));
+    const auto seq = [&] { return lb::graph::make_bernoulli_sequence(sg.g, 0.8, 101); };
+    run_segment_matrix<double>(
+        sg, [] { return lb::core::make_fos_continuous(); }, seq, real0, nullptr,
+        "bernoulli/fos");
+    run_segment_matrix<std::int64_t>(
+        sg, [] { return lb::core::make_diffusion_discrete(); }, seq, tokens0, nullptr,
+        "bernoulli/diffusion-disc");
+  }
+}
+
+TEST(ShardSegments, StraddledChunksBitIdenticalOpenStream) {
+  lb::workload::StreamSpec spec;
+  spec.kind = lb::workload::StreamKind::kPoisson;
+  spec.quantum = 25.0;
+  for (const SegmentGraph& sg : segment_graphs()) {
+    const std::size_t n = sg.g.num_nodes();
+    lb::util::Rng wrng(53);
+    const auto real0 = lb::workload::uniform_random<double>(n, 100.0 * static_cast<double>(n), wrng);
+    const auto tokens0 = lb::workload::uniform_random<std::int64_t>(
+        n, static_cast<std::int64_t>(100 * n), wrng);
+    const auto seq = [&] { return lb::graph::make_static_sequence(sg.g); };
+    run_segment_matrix<double>(
+        sg, [] { return lb::core::make_diffusion_continuous(); }, seq, real0, &spec,
+        "poisson/diffusion-cont");
+    run_segment_matrix<std::int64_t>(
+        sg, [] { return lb::core::make_diffusion_discrete(); }, seq, tokens0, &spec,
+        "poisson/diffusion-disc");
+  }
 }
 
 }  // namespace
